@@ -14,13 +14,19 @@
 // U/DBAS elimination is *eager*: prune_worse() walks the container,
 // releases every vertex whose bound can no longer beat the incumbent, and
 // compacts storage — so size() is an exact measure of AS memory (MAXSZAS).
+//
+// Entries are stored contiguously in one PageBuffer (support/recycler.hpp):
+// the heap algorithms run over plain pointers, growth remaps pages instead
+// of copying the entries, FIFO pops advance a head index, and a destroyed
+// set hands its buffer to the thread's recycler for the next solve.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <span>
 
 #include "parabb/bnb/params.hpp"
 #include "parabb/bnb/vertex.hpp"
+#include "parabb/support/recycler.hpp"
 
 namespace parabb {
 
@@ -31,6 +37,9 @@ class ActiveSet {
   /// selects the LLB tie-breaking policy (ignored by LIFO/FIFO).
   ActiveSet(SelectRule rule, std::function<void(SlotRef)> release,
             bool llb_tie_newest = false);
+  ActiveSet(const ActiveSet&) = delete;
+  ActiveSet& operator=(const ActiveSet&) = delete;
+  ~ActiveSet();
 
   void push(const VertexEntry& e);
 
@@ -41,8 +50,8 @@ class ActiveSet {
   /// Peeks the entry pop() would return (LLB stop-condition check).
   const VertexEntry& peek() const;
 
-  bool empty() const noexcept { return entries_.empty(); }
-  std::size_t size() const noexcept { return entries_.size(); }
+  bool empty() const noexcept { return head_ == end_; }
+  std::size_t size() const noexcept { return end_ - head_; }
 
   /// Least lower bound among all entries (O(1) for LLB, O(n) otherwise).
   /// Precondition: !empty(). Used for optimality-gap certificates.
@@ -61,9 +70,10 @@ class ActiveSet {
   /// insertion order; LLB: heap order — an arbitrary but complete
   /// enumeration). The checkpoint writer (ckpt/snapshot.hpp) walks this
   /// to serialize the frontier; re-pushing the entries in this order
-  /// reconstructs an equivalent active set.
-  const std::deque<VertexEntry>& entries() const noexcept {
-    return entries_;
+  /// reconstructs an equivalent active set. The view is invalidated by
+  /// the next call that modifies the set.
+  std::span<const VertexEntry> entries() const noexcept {
+    return {first(), last()};
   }
 
   /// Degradation-ladder support (robust/degrade.hpp, kDF rung): switch
@@ -75,11 +85,22 @@ class ActiveSet {
 
  private:
   bool heap_less(const VertexEntry& a, const VertexEntry& b) const noexcept;
+  /// Live entries are [first(), last()).
+  VertexEntry* first() const noexcept {
+    return static_cast<VertexEntry*>(storage_.data()) + head_;
+  }
+  VertexEntry* last() const noexcept {
+    return static_cast<VertexEntry*>(storage_.data()) + end_;
+  }
+  /// Called by push() when the buffer is full.
+  void make_room();
 
   SelectRule rule_;
   std::function<void(SlotRef)> release_;
   bool llb_tie_newest_;
-  std::deque<VertexEntry> entries_;
+  PageBuffer storage_;
+  std::size_t head_ = 0;  ///< index of the oldest live entry (FIFO pops)
+  std::size_t end_ = 0;   ///< one past the newest entry
 };
 
 }  // namespace parabb

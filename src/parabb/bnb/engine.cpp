@@ -341,6 +341,9 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
 
   std::uint64_t iter = 0;
   result.reason = TerminationReason::kExhausted;
+  // Scratch state of one expansion: the popped parent, then each child in
+  // turn via place → bound → unplace, and the parent again afterwards.
+  PartialSchedule cur;
 
   // --- Step 3-10: main loop. ---
   try {
@@ -482,22 +485,21 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       }
 
       const VertexEntry entry = as.pop();
-      const PartialSchedule parent =
-          static_cast<const Vertex*>(pool.get(entry.ref))->state;
+      cur = static_cast<const Vertex*>(pool.get(entry.ref))->state;
       pool.release(entry.ref);
       ++stats.expanded;
-      so.expand(parent.count(), entry.lb);
+      so.expand(cur.count(), entry.lb);
       if (params.trace) {
-        params.trace->record(TraceEvent::kExpand, parent.count(), entry.lb);
+        params.trace->record(TraceEvent::kExpand, cur.count(), entry.lb);
       }
 
       // Step 6-7: branch (rule B) and bound (function L). Children are
-      // evaluated zero-copy: one scratch state per expansion, each candidate
-      // via place → bound → unplace; only survivors are copied, straight into
-      // their pool slot.
+      // evaluated zero-copy: the parent is copied once into the scratch
+      // state, each candidate via place → bound → unplace; only survivors
+      // are copied, straight into their pool slot.
       staged.clear();
-      const auto tasks = branch_tasks(ctx, branch_rule, parent.ready());
-      const int child_count = parent.count() + 1;
+      const auto tasks = branch_tasks(ctx, branch_rule, cur.ready());
+      const int child_count = cur.count() + 1;
       // When every child is a goal its bound is its exact cost and may beat
       // the incumbent even at or above the BR-relaxed threshold, so the
       // short-circuit must not fire. Likewise keep bounds exact while a
@@ -511,7 +513,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
            params.certify == nullptr)
               ? threshold
               : kTimeInf;
-      PartialSchedule cur = parent;
       inc.attach(cur);
       Time best_goal = kTimeInf;
       PartialSchedule best_goal_state;
@@ -726,9 +727,10 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
     // Allocation failure mid-expansion (injected via Params::faults or
     // real): unwind to the last consistent state. The incumbent, stats,
     // and active set survive; the failed expansion's staged children are
-    // abandoned inside the pool, which frees them wholesale on return
-    // (no leak under ASan). The outcome is the memory-budget cliff:
-    // best-so-far, not proved, gap certificate voided.
+    // abandoned inside the pool, which releases them wholesale on return
+    // (its chunks go to the thread's recycler; no leak under ASan). The
+    // outcome is the memory-budget cliff: best-so-far, not proved, gap
+    // certificate voided.
     result.reason = TerminationReason::kBudget;
     compromised = true;
     compromise_floor = kTimeNegInf;

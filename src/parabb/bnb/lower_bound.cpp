@@ -118,21 +118,22 @@ CTime IncrementalLB::place(PartialSchedule& ps, TaskId t, ProcId p) noexcept {
   unsched_dl_ &= ~(1ULL << ctx.deadline_rank(t));
   fhat_[static_cast<std::size_t>(t)] = Time{f};
   PARABB_ASSERT(depth_ <= kMaxTasks);
-  saved_worst_[static_cast<std::size_t>(depth_++)] = worst_sched_;
+  undo_[static_cast<std::size_t>(depth_++)] = Undo{worst_sched_, before};
   worst_sched_ = std::max(worst_sched_, Time{f} - Time{ctx.deadline(t)});
   return s;
 }
 
 void IncrementalLB::unplace(PartialSchedule& ps, TaskId t) noexcept {
   const SchedContext& ctx = *ctx_;
-  const CTime before = ps.proc_avail(ps.proc(t));
-  const CTime restored = ps.unplace(ctx, t);
-  avail_sum_ -= Time{before} - Time{restored};
+  PARABB_ASSERT(depth_ > 0);
+  const Undo& undo = undo_[static_cast<std::size_t>(--depth_)];
+  const CTime finish = ps.proc_avail(ps.proc(t));
+  ps.unplace(ctx, t, undo.frontier);
+  avail_sum_ -= Time{finish} - Time{undo.frontier};
   unsched_work_ += Time{ctx.exec(t)};
   unsched_topo_ |= 1ULL << ctx.topo_rank(t);
   unsched_dl_ |= 1ULL << ctx.deadline_rank(t);
-  PARABB_ASSERT(depth_ > 0);
-  worst_sched_ = saved_worst_[static_cast<std::size_t>(--depth_)];
+  worst_sched_ = undo.worst_sched;
 }
 
 Time IncrementalLB::evaluate(const PartialSchedule& ps, LowerBound kind,

@@ -57,6 +57,10 @@ Time exact_cost(const SchedContext& ctx, const PartialSchedule& ps);
 ///  * `unsched_work`= Σ exec over unscheduled tasks;
 ///  * `worst_sched` = max lateness over the scheduled prefix (monotone
 ///    under place, so one saved value per nesting level undoes it);
+///  * an undo stack holding, per nesting level, that saved value and the
+///    placed processor's frontier from before the placement, which
+///    place() reads anyway — so unplace() restores the frontier in O(1)
+///    instead of PartialSchedule rescanning the processor's tasks;
 ///  * unscheduled-membership bitmasks in topo-rank and deadline-rank
 ///    space, so both evaluation loops visit unscheduled tasks only, in
 ///    the right order, with no sort and no branch per skipped task;
@@ -78,8 +82,8 @@ class IncrementalLB {
   /// Returns the assigned start time.
   CTime place(PartialSchedule& ps, TaskId t, ProcId p) noexcept;
 
-  /// Reverts the most recent not-yet-reverted place() (LIFO nesting, same
-  /// discipline PartialSchedule::unplace already requires).
+  /// Reverts the most recent not-yet-reverted place(), which must have
+  /// placed `t` (LIFO nesting), in O(1) plus t's successor count.
   void unplace(PartialSchedule& ps, TaskId t) noexcept;
 
   /// Lower bound of the attached state. When the result is < cutoff it is
@@ -101,8 +105,12 @@ class IncrementalLB {
   std::uint64_t unsched_dl_ = 0;    ///< unscheduled set, bit = deadline rank
   int depth_ = 0;                   ///< place() nesting level
   std::array<Time, kMaxTasks> fhat_{};  ///< f̂; exact finish when scheduled
-  /// worst_sched_ undo stack: the one term place() cannot invert itself.
-  std::array<Time, kMaxTasks + 1> saved_worst_{};
+  /// What one place() overwrote and cannot invert from the new state.
+  struct Undo {
+    Time worst_sched = kTimeNegInf;  ///< worst_sched_ before the placement
+    CTime frontier = 0;              ///< the processor's proc_avail() before
+  };
+  std::array<Undo, kMaxTasks + 1> undo_{};  ///< indexed by nesting level
 };
 
 }  // namespace parabb

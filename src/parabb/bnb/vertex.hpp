@@ -21,6 +21,13 @@ struct Vertex {
 
 // The pool copies vertices as raw bytes.
 static_assert(std::is_trivially_copyable_v<Vertex>);
+// Memory budgets are priced in vertices of this size: solve_bnb divides
+// rb.max_memory_bytes by it to size the pool's chunks, and the degradation
+// ladder's thresholds compare live slots × this size against the budget.
+// A different size moves every budgeted outcome, so changing it is a
+// deliberate decision, not a side effect.
+static_assert(sizeof(Vertex) == 272,
+              "budgeted outcomes and ladder thresholds derive from this size");
 
 /// Handle stored in active-set containers: the bound and order key are
 /// duplicated here so selection rules never touch pool memory.

@@ -11,7 +11,7 @@
 //    makes the operation non-commutative and the full permutation search
 //    necessary).
 //
-// The type is a trivially-copyable fixed-capacity value (~250 bytes) so that
+// The type is a trivially-copyable fixed-capacity value (256 bytes) so that
 // millions of search vertices stay pool-friendly and memcpy-cheap.
 #pragma once
 
@@ -70,12 +70,18 @@ class PartialSchedule {
   /// Returns the assigned start time. Updates the ready set.
   CTime place(const SchedContext& ctx, TaskId t, ProcId p) noexcept;
 
-  /// Undoes a placement. Only legal when the scheduling operation is still
-  /// reversible: t must be the last task appended to its processor and no
-  /// successor of t may be scheduled (both asserted). Restores the ready
-  /// set, the processor frontier, and the incremental fingerprint.
-  /// Returns the restored frontier of t's processor, so incremental
-  /// evaluators can update availability sums without a second lookup.
+  /// Undoes a placement in O(1) plus t's successor count. Only legal when
+  /// the scheduling operation is still reversible: t must be the last task
+  /// appended to its processor and no successor of t may be scheduled
+  /// (both asserted). Restores the ready set, the incremental fingerprint,
+  /// and t's processor frontier to `frontier`, which must be that
+  /// processor's proc_avail() from just before t was placed (the caller
+  /// saved it; IncrementalLB keeps it on its undo stack).
+  void unplace(const SchedContext& ctx, TaskId t, CTime frontier) noexcept;
+
+  /// The same undo for callers that did not save the frontier: recovers it
+  /// by scanning the tasks still scheduled on t's processor (O(count)).
+  /// Returns the restored frontier.
   CTime unplace(const SchedContext& ctx, TaskId t) noexcept;
 
   /// Canonical 64-bit state fingerprint: XOR over every scheduled task of

@@ -2,7 +2,9 @@
 //
 // The branch-and-bound hot path manipulates "scheduled" and "ready" sets on
 // every vertex expansion; a machine word with bit tricks keeps those
-// operations branch-free and allocation-free (kMaxTasks == 64).
+// operations branch-free and allocation-free. The word holds task ids
+// 0..63, wider than kMaxTasks (32, the search's fixed arrays); the 64-id
+// width is what taskgraph/transforms.cpp checks graphs against.
 #pragma once
 
 #include <bit>

@@ -6,6 +6,15 @@
 // to vertices that U/DBAS already pruned). The generation counter lets a
 // container detect stale handles in O(1) instead of the engine eagerly
 // deleting heap entries (which would be O(n) per prune).
+//
+// Chunks are allocated uninitialised and recycled per thread
+// (support/recycler.hpp): a destroyed pool hands its chunks to its
+// thread's recycler, up to kRetainedBytesPerThread (96 MiB) per thread,
+// and the next pool on that thread with the same chunk size
+// (slot_bytes × slots_per_chunk) takes them before allocating. Each
+// service worker thread therefore retains its own chunks. memory_bytes()
+// counts only the chunks this pool holds, never the recycler's, so memory
+// budgets and the degradation ladder see exactly what they saw before.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +23,7 @@
 #include <vector>
 
 #include "parabb/support/assert.hpp"
+#include "parabb/support/recycler.hpp"
 
 namespace parabb {
 
@@ -28,8 +38,8 @@ struct SlotRef {
 class SlotPool {
  public:
   /// `slot_bytes` is the payload size; `slots_per_chunk` tunes allocation
-  /// granularity (chunks are never freed until the pool is destroyed or
-  /// reset, so handles stay stable).
+  /// granularity (a pool keeps its chunks, even across reset(), until it is
+  /// destroyed, so handles stay stable).
   explicit SlotPool(std::size_t slot_bytes, std::size_t slots_per_chunk = 4096)
       : payload_bytes_(align_up(slot_bytes)),
         slots_per_chunk_(slots_per_chunk) {
@@ -39,6 +49,11 @@ class SlotPool {
 
   SlotPool(const SlotPool&) = delete;
   SlotPool& operator=(const SlotPool&) = delete;
+  ~SlotPool() {
+    for (auto& chunk : chunks_) {
+      recycler::give_chunk(std::move(chunk), chunk_bytes());
+    }
+  }
 
   /// Allocate a slot; payload contents are uninitialized.
   SlotRef allocate() {
@@ -103,9 +118,15 @@ class SlotPool {
     return (n + a - 1) / a * a;
   }
 
+  std::size_t chunk_bytes() const noexcept {
+    return payload_bytes_ * slots_per_chunk_;
+  }
+
   void grow() {
-    auto chunk = std::make_unique<std::byte[]>(payload_bytes_ *
-                                               slots_per_chunk_);
+    auto chunk = recycler::take_chunk(chunk_bytes());
+    if (!chunk) {
+      chunk = std::make_unique_for_overwrite<std::byte[]>(chunk_bytes());
+    }
     chunks_.push_back(std::move(chunk));
     capacity_ += slots_per_chunk_;
     generations_.resize(capacity_, 0);

@@ -443,8 +443,8 @@ TEST(ServiceCkpt, ResumesFromMatchingJobSnapshot) {
 
   // The engine restored the snapshot (visible through the registry) and
   // the terminal job removed the spent file.
-  const auto* restores =
-      registry.snapshot().find_counter("parabb_ckpt_restores_total");
+  const MetricsSnapshot metrics = registry.snapshot();
+  const auto* restores = metrics.find_counter("parabb_ckpt_restores_total");
   ASSERT_NE(restores, nullptr);
   EXPECT_GE(restores->value, 1u);
   EXPECT_FALSE(std::filesystem::exists(path));

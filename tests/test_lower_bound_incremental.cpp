@@ -24,9 +24,22 @@ namespace {
 constexpr LowerBound kAllBounds[] = {LowerBound::kLB0, LowerBound::kLB1,
                                      LowerBound::kLB2};
 
+/// The O(1) undo must leave exactly the state the scanning
+/// PartialSchedule::unplace (the reference) leaves.
+void expect_same_state(const SchedContext& ctx, const PartialSchedule& got,
+                       const PartialSchedule& want) {
+  EXPECT_TRUE(got == want) << "depth " << got.count();
+  EXPECT_EQ(got.fingerprint(), want.fingerprint());
+  EXPECT_EQ(got.ready().bits(), want.ready().bits());
+  for (ProcId p = 0; p < ctx.proc_count(); ++p) {
+    EXPECT_EQ(got.proc_avail(p), want.proc_avail(p)) << "proc " << p;
+  }
+}
+
 /// One random place/unplace walk over `ctx`, asserting at every step that
 /// the maintained incremental evaluator and a freshly attached one both
-/// agree with lower_bound_cost for all three bound functions.
+/// agree with lower_bound_cost for all three bound functions, and after
+/// every unplace that the state matches the scanning unplace's.
 void run_walk(const SchedContext& ctx, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   PartialSchedule ps = PartialSchedule::empty(ctx);
@@ -65,8 +78,12 @@ void run_walk(const SchedContext& ctx, std::uint64_t seed) {
       inc.place(ps, t, p);
       placed.push_back(t);
     } else {
+      PartialSchedule scanned = ps;
+      scanned.unplace(ctx, placed.back());
       inc.unplace(ps, placed.back());
       placed.pop_back();
+      expect_same_state(ctx, ps, scanned);
+      if (::testing::Test::HasFailure()) return;
     }
     check_all();
   }
