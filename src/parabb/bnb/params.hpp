@@ -74,10 +74,11 @@ struct ResourceBounds {
   /// total search effort, deterministic across runs unlike wall clock.
   std::uint64_t max_generated = std::numeric_limits<std::uint64_t>::max();
   /// Cap on live vertex memory, in bytes: the sequential engine's pool
-  /// footprint, the parallel engine's summed per-worker slab bytes. Both
-  /// engines stop at the cap (kBudget); with `degrade.enabled` it is also
-  /// the signal the graceful-degradation ladder steps against
-  /// (docs/robustness.md).
+  /// footprint, where each vertex is priced at vertex_bytes(ctx) (128 bytes
+  /// for n <= 16 and m <= 4, 272 otherwise; bnb/vertex.hpp), and the
+  /// parallel engine's summed per-worker slab bytes. Both engines stop at
+  /// the cap (kBudget); with `degrade.enabled` it is also the signal the
+  /// graceful-degradation ladder steps against (docs/robustness.md).
   std::size_t max_memory_bytes = std::numeric_limits<std::size_t>::max();
 };
 

@@ -1,6 +1,9 @@
 #include "parabb/sched/partial_schedule.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
 
 #include "parabb/support/hash.hpp"
 
@@ -13,6 +16,51 @@ namespace {
 constexpr auto kPlacementKeys =
     zobrist_keys<static_cast<std::size_t>(kMaxTasks) * kMaxProcs>(
         0x7ab5a1c0ffee5eedULL);
+
+// pack()'s encoding of a state with at most kCompactTasks tasks on at most
+// kCompactProcs processors. Every field has a fixed size, so packing and
+// unpacking are straight-line copies with no per-instance lengths. The
+// struct only defines the layout: pack() and unpack() copy each field
+// straight between the state and the packed bytes, because staging a
+// whole struct on the stack costs store-forwarding stalls.
+struct CompactState {
+  std::uint64_t scheduled;  ///< scheduled set; count() in the top byte
+  std::uint64_t ready;
+  std::uint64_t hash;
+  std::array<CTime, PartialSchedule::kCompactTasks> start;
+  std::array<CTime, PartialSchedule::kCompactProcs> avail;
+  /// Per task: its processor in the low kProcBits bits, its count of
+  /// unscheduled predecessors in the rest.
+  std::array<std::uint8_t, PartialSchedule::kCompactTasks> proc_missing;
+};
+static_assert(sizeof(CompactState) == 120);
+static_assert(std::is_trivially_copyable_v<CompactState>);
+
+constexpr int kProcBits = 3;
+static_assert(kMaxProcs <= (1 << kProcBits), "a processor id fits 3 bits");
+static_assert(kMaxTasks <= (1 << (8 - kProcBits)),
+              "a missing-predecessor count (< kMaxTasks) fits 5 bits");
+
+// proc_missing is packed eight tasks per 64-bit word. A processor byte is
+// below 8 and a count byte below 32, so shifting a word of counts by
+// kProcBits moves no bit across a byte boundary.
+static_assert(PartialSchedule::kCompactTasks % 8 == 0);
+constexpr std::uint64_t kProcLanes = 0x0707070707070707ULL;
+constexpr std::uint64_t kCountLanes = 0x1f1f1f1f1f1f1f1fULL;
+
+constexpr int kCountShift = 56;
+static_assert(PartialSchedule::kCompactTasks <= kCountShift,
+              "the scheduled set leaves the top byte free for count()");
+constexpr std::uint64_t kSetMask = (std::uint64_t{1} << kCountShift) - 1;
+
+void put_word(std::byte* dst, std::size_t offset, std::uint64_t w) noexcept {
+  std::memcpy(dst + offset, &w, sizeof w);
+}
+std::uint64_t get_word(const std::byte* src, std::size_t offset) noexcept {
+  std::uint64_t w = 0;
+  std::memcpy(&w, src + offset, sizeof w);
+  return w;
+}
 
 }  // namespace
 
@@ -139,6 +187,65 @@ Time PartialSchedule::max_lateness_scheduled(
     worst = std::max(worst, lateness);
   }
   return worst;
+}
+
+std::size_t PartialSchedule::packed_bytes(const SchedContext& ctx) noexcept {
+  return compact(ctx) ? sizeof(CompactState) : sizeof(PartialSchedule);
+}
+
+void PartialSchedule::pack(const SchedContext& ctx,
+                           void* dst) const noexcept {
+  auto* out = static_cast<std::byte*>(dst);
+  if (!compact(ctx)) {
+    std::memcpy(out, this, sizeof(PartialSchedule));
+    return;
+  }
+  put_word(out, offsetof(CompactState, scheduled),
+           scheduled_.bits() |
+               static_cast<std::uint64_t>(count_) << kCountShift);
+  put_word(out, offsetof(CompactState, ready), ready_.bits());
+  put_word(out, offsetof(CompactState, hash), hash_);
+  std::memcpy(out + offsetof(CompactState, start), start_.data(),
+              sizeof(CompactState::start));
+  std::memcpy(out + offsetof(CompactState, avail), avail_.data(),
+              sizeof(CompactState::avail));
+  const auto* procs = reinterpret_cast<const std::byte*>(proc_.data());
+  const auto* counts =
+      reinterpret_cast<const std::byte*>(missing_preds_.data());
+  for (std::size_t at = 0; at < kCompactTasks; at += 8) {
+    put_word(out, offsetof(CompactState, proc_missing) + at,
+             get_word(procs, at) | get_word(counts, at) << kProcBits);
+  }
+}
+
+void PartialSchedule::unpack(const SchedContext& ctx,
+                             const void* src) noexcept {
+  const auto* in = static_cast<const std::byte*>(src);
+  if (!compact(ctx)) {
+    std::memcpy(this, in, sizeof(PartialSchedule));
+    return;
+  }
+  const std::uint64_t scheduled =
+      get_word(in, offsetof(CompactState, scheduled));
+  scheduled_ = TaskSet(scheduled & kSetMask);
+  count_ = static_cast<std::int16_t>(scheduled >> kCountShift);
+  ready_ = TaskSet(get_word(in, offsetof(CompactState, ready)));
+  hash_ = get_word(in, offsetof(CompactState, hash));
+  std::memcpy(start_.data(), in + offsetof(CompactState, start),
+              sizeof(CompactState::start));
+  std::memcpy(avail_.data(), in + offsetof(CompactState, avail),
+              sizeof(CompactState::avail));
+  // Processors past kCompactProcs never run a task (operator== compares
+  // every frontier); tasks past kCompactTasks do not exist.
+  std::fill(avail_.begin() + kCompactProcs, avail_.end(), 0);
+  auto* procs = reinterpret_cast<std::byte*>(proc_.data());
+  auto* counts = reinterpret_cast<std::byte*>(missing_preds_.data());
+  for (std::size_t at = 0; at < kCompactTasks; at += 8) {
+    const std::uint64_t w =
+        get_word(in, offsetof(CompactState, proc_missing) + at);
+    put_word(procs, at, w & kProcLanes);
+    put_word(counts, at, w >> kProcBits & kCountLanes);
+  }
 }
 
 bool operator==(const PartialSchedule& a, const PartialSchedule& b) noexcept {

@@ -12,10 +12,13 @@
 //    necessary).
 //
 // The type is a trivially-copyable fixed-capacity value (256 bytes) so that
-// millions of search vertices stay pool-friendly and memcpy-cheap.
+// millions of search vertices stay pool-friendly and memcpy-cheap. Stored
+// search vertices go through pack()/unpack(), which encode the paper-sized
+// instances in less than half of that.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "parabb/sched/context.hpp"
@@ -104,6 +107,28 @@ class PartialSchedule {
   /// Max lateness over the *scheduled* prefix (kTimeNegInf when empty).
   Time max_lateness_scheduled(const SchedContext& ctx) const noexcept;
 
+  /// Instances up to this size get the compact encoding of pack(): 120
+  /// bytes instead of the whole 256-byte object.
+  static constexpr int kCompactTasks = 16;
+  static constexpr int kCompactProcs = 4;
+  static bool compact(const SchedContext& ctx) noexcept {
+    return ctx.task_count() <= kCompactTasks &&
+           ctx.proc_count() <= kCompactProcs;
+  }
+
+  /// Bytes pack() writes for a state of `ctx`.
+  static std::size_t packed_bytes(const SchedContext& ctx) noexcept;
+
+  /// Writes this state, a state of `ctx`, to `dst` (packed_bytes(ctx)
+  /// bytes, any alignment).
+  void pack(const SchedContext& ctx, void* dst) const noexcept;
+
+  /// Restores the state pack() wrote to `src` for `ctx`. The result equals
+  /// the packed state under operator== and in its fingerprint, ready set,
+  /// count, processor frontiers and readiness counts, so place()/unplace()
+  /// continue from it exactly as from the original.
+  void unpack(const SchedContext& ctx, const void* src) noexcept;
+
   friend bool operator==(const PartialSchedule& a,
                          const PartialSchedule& b) noexcept;
 
@@ -117,5 +142,10 @@ class PartialSchedule {
   std::int16_t count_ = 0;
   std::uint64_t hash_ = 0;  ///< incremental Zobrist fingerprint
 };
+
+// The transposition table sizes itself in states of this size, so a
+// different size changes every table-enabled search.
+static_assert(sizeof(PartialSchedule) == 256,
+              "transposition-table slot counts derive from this size");
 
 }  // namespace parabb

@@ -47,6 +47,13 @@ class SlotPool {
     PARABB_REQUIRE(slots_per_chunk > 0, "chunk size must be positive");
   }
 
+  /// The slot size of a pool with `slot_bytes` payloads: rounded up to
+  /// alignof(std::max_align_t), as slot_bytes() reports it.
+  static constexpr std::size_t align_up(std::size_t slot_bytes) noexcept {
+    constexpr std::size_t a = alignof(std::max_align_t);
+    return (slot_bytes + a - 1) / a * a;
+  }
+
   SlotPool(const SlotPool&) = delete;
   SlotPool& operator=(const SlotPool&) = delete;
   ~SlotPool() {
@@ -113,11 +120,6 @@ class SlotPool {
   }
 
  private:
-  static constexpr std::size_t align_up(std::size_t n) noexcept {
-    constexpr std::size_t a = alignof(std::max_align_t);
-    return (n + a - 1) / a * a;
-  }
-
   std::size_t chunk_bytes() const noexcept {
     return payload_bytes_ * slots_per_chunk_;
   }

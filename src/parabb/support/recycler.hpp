@@ -22,9 +22,12 @@
 namespace parabb {
 
 /// Upper bound on the bytes one thread keeps for reuse, pool chunks and
-/// frontier buffer together. Large enough for the biggest frontier the
-/// benchmark's LLB workload builds: at its 300k-vertex budget, at most 37
-/// default pool chunks (78.6 MiB) plus an 8 MiB entry buffer.
+/// frontier buffer together. Large enough for the biggest frontier a
+/// 300k-vertex budget builds, as in the benchmark's LLB workload: at most
+/// 37 default pool chunks plus an 8 MiB entry buffer. Those chunks are
+/// 1 MiB for the benchmark's instances (128-byte vertices, n <= 16 and
+/// m <= 4), 45 MiB in all; with 272-byte vertices they are 2.1 MiB, and
+/// 86.6 MiB in all still fits.
 inline constexpr std::size_t kRetainedBytesPerThread = std::size_t{96} << 20;
 
 /// An anonymous memory mapping of whole pages that grows by remapping its

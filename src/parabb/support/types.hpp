@@ -30,10 +30,11 @@ inline constexpr Time kTimeNegInf = -kTimeInf;
 
 /// Hard compile-time ceilings used by the fixed-capacity structures on the
 /// branch-and-bound hot path. The paper's experiments use n <= 16, m <= 4;
-/// these leave headroom while keeping a PartialSchedule at 256 bytes and a
-/// search vertex at 272 (pinned in bnb/vertex.hpp). Active sets can hold
-/// millions of vertices, so per-vertex size is what bounds the biggest
-/// solvable instances — the paper hit exactly this wall on a 64 MB
+/// these leave headroom while keeping a PartialSchedule at 256 bytes. A
+/// stored search vertex is 128 bytes for instances within the paper's
+/// sizes and 272 beyond them (vertex_bytes in bnb/vertex.hpp). Active sets
+/// can hold millions of vertices, so per-vertex size is what bounds the
+/// biggest solvable instances — the paper hit exactly this wall on a 64 MB
 /// SPARCstation.
 inline constexpr int kMaxTasks = 32;
 inline constexpr int kMaxProcs = 8;

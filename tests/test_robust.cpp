@@ -19,6 +19,7 @@
 
 #include "parabb/bnb/engine.hpp"
 #include "parabb/bnb/parallel_engine.hpp"
+#include "parabb/bnb/vertex.hpp"
 #include "parabb/robust/degrade.hpp"
 #include "parabb/robust/fault.hpp"
 #include "parabb/robust/watchdog.hpp"
@@ -694,6 +695,62 @@ TEST(Recycling, WarmThreadRunsMatchColdOnes) {
     return;
   }
   FAIL() << "no seed in [0,30) climbed the ladder under a half-peak cap";
+}
+
+// The two vertex layouts (bnb/vertex.hpp) size their pool chunks
+// differently, and the recycler hands a chunk only to a pool of its own
+// size. A full-layout solve (m = 5) straight after a large compact-layout
+// one (m = 4) on the same thread, and the reverse, must match the same
+// solves on a fresh thread byte for byte: result, stats, certificate text.
+TEST(Recycling, LayoutsShareAThreadWithoutMixing) {
+  const TaskGraph g = test::tight_instance(1);
+  const SchedContext compact = test::make_ctx(g, 4);
+  const SchedContext full = test::make_ctx(g, 5);
+  ASSERT_EQ(vertex_bytes(compact), 128u);
+  ASSERT_EQ(vertex_bytes(full), 272u);
+  // Best-first searches that leave tens of MiB of default-size chunks.
+  const TaskGraph big = test::paper_instance(1);
+  const auto large_llb = [&big](int procs) {
+    Params p;
+    p.select = SelectRule::kLLB;
+    p.ub = UpperBoundInit::kInfinite;
+    p.rb.max_generated = 200000;
+    return solve_bnb(test::make_ctx(big, procs), p).stats.peak_memory_bytes;
+  };
+  // A certified best-first run, then the same under a memory budget that
+  // climbs the ladder, whose pool uses budget-sized chunks.
+  const auto certified_runs = [&g](const SchedContext& ctx) {
+    std::string text;
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{1} << 20}) {
+      Params p;
+      p.select = SelectRule::kLLB;
+      p.ub = UpperBoundInit::kInfinite;
+      p.rb.max_generated = 30000;
+      if (cap != 0) {
+        p.rb.max_memory_bytes = cap;
+        p.degrade.enabled = true;
+      }
+      CertificateBuilder builder;
+      p.certify = &builder;
+      const SearchResult r = solve_bnb(ctx, p);
+      text += describe_run(r, ctx.task_count()) + '\n' +
+              certificate_to_text(builder.take(), g);
+    }
+    return text;
+  };
+  const std::string cold_full =
+      on_fresh_thread([&] { return certified_runs(full); });
+  const std::string cold_compact =
+      on_fresh_thread([&] { return certified_runs(compact); });
+
+  std::thread([&] {
+    EXPECT_GT(large_llb(4), std::size_t{16} << 20);
+    EXPECT_EQ(certified_runs(full), cold_full);
+  }).join();
+  std::thread([&] {
+    EXPECT_GT(large_llb(5), std::size_t{16} << 20);
+    EXPECT_EQ(certified_runs(compact), cold_compact);
+  }).join();
 }
 
 // ---------------------------------------------------------------------------
