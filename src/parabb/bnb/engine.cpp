@@ -355,8 +355,8 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
 
   std::uint64_t iter = 0;
   result.reason = TerminationReason::kExhausted;
-  // Scratch state of one expansion: the popped parent, then each child in
-  // turn via place → bound → unplace, and the parent again afterwards.
+  // Scratch state of one expansion: the popped parent, on which each child
+  // that needs a placed state is placed and unplaced in turn.
   PartialSchedule cur;
 
   // --- Step 3-10: main loop. ---
@@ -507,10 +507,12 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         params.trace->record(TraceEvent::kExpand, cur.count(), entry.lb);
       }
 
-      // Step 6-7: branch (rule B) and bound (function L). Children are
-      // evaluated zero-copy: the parent is unpacked once into the scratch
-      // state, each candidate via place → bound → unplace; only survivors
-      // are packed, straight into their pool slot.
+      // Step 6-7: branch (rule B) and bound (function L). The parent is
+      // unpacked once into the scratch state, and each child is bounded
+      // from it before placement (IncrementalLB::evaluate_child). A child
+      // is placed only when it is kept, when F, the table or a certificate
+      // must inspect it, or when it is the goal that becomes the
+      // incumbent; survivors are packed straight into their pool slot.
       staged.clear();
       const auto tasks = branch_tasks(ctx, branch_rule, cur.ready());
       const int child_count = cur.count() + 1;
@@ -527,10 +529,14 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
            params.certify == nullptr)
               ? threshold
               : kTimeInf;
+      // A child E prunes is settled by its bound alone unless F or a
+      // certificate must see its placed state.
+      const bool place_pruned = params.characteristic || params.certify;
       inc.attach(cur);
+      // The first strict minimum among the goal children.
       Time best_goal = kTimeInf;
-      PartialSchedule best_goal_state;
-      bool have_goal = false;
+      TaskId goal_task = kNoTask;
+      ProcId goal_proc = kNoProc;
       int children = 0;
       for (const TaskId t : tasks) {
         for (ProcId p = 0; p < ctx.proc_count(); ++p) {
@@ -541,12 +547,16 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
           }
           ++children;
           ++stats.generated;
-          inc.place(cur, t, p);
-          const Time lb = params.incremental_lb
-                              ? inc.evaluate(cur, params.lb, cutoff)
-                              : lower_bound_cost(ctx, cur, params.lb);
+          Time lb;
+          if (params.incremental_lb) {
+            lb = inc.evaluate_child(cur, t, p, params.lb, cutoff);
+          } else {
+            const CTime frontier = cur.proc_avail(p);
+            cur.place(ctx, t, p);
+            lb = lower_bound_cost(ctx, cur, params.lb);
+            cur.unplace(ctx, t, frontier);
+          }
 
-          bool keep = false;
           if (goal_children) {
             // Goal vertex: candidate new upper-bound solution (Figure 2).
             ++stats.goals;
@@ -555,11 +565,17 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
             }
             if (lb < best_goal) {
               best_goal = lb;
-              best_goal_state = cur;
-              have_goal = true;
+              goal_task = t;
+              goal_proc = p;
             }
-          } else if (params.characteristic &&
-                     !params.characteristic(ctx, cur)) {
+            continue;
+          }
+          const bool bound_pruned =
+              params.elim == ElimRule::kUDBAS && lb >= threshold;
+          const bool placed = !bound_pruned || place_pruned;
+          if (placed) inc.place(cur, t, p);
+          if (placed && params.characteristic &&
+              !params.characteristic(ctx, cur)) {
             ++stats.pruned_children;  // F: cannot extend to a valid solution
             so.prune(FlightPruneRule::kCharacteristic, child_count, lb);
             if (params.trace) {
@@ -569,7 +585,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
               params.certify->record_cut(ctx, cur, CutRule::kCharacteristic,
                                          lb);
             }
-          } else if (params.elim == ElimRule::kUDBAS && lb >= threshold) {
+          } else if (bound_pruned) {
             ++stats.pruned_children;  // E applied to DB
             so.prune(FlightPruneRule::kBound, child_count, lb);
             if (params.trace) {
@@ -592,9 +608,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
                                          lb);
             }
           } else {
-            keep = true;
-          }
-          if (keep) {
             if (params.faults) params.faults->on_alloc(stats.generated);
             const SlotRef ref = pool.allocate();
             auto* v = static_cast<Vertex*>(pool.get(ref));
@@ -602,17 +615,20 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
             cur.pack(ctx, v->state());
             staged.push_back(StagedChild{lb, children, ref});
           }
-          inc.unplace(cur, t);
+          if (placed) inc.unplace(cur, t);
         }
         if (children >= effective_max_children) break;
       }
 
       // Incumbent update from the cheapest goal in DB (goal vertices never
-      // enter the active set).
+      // enter the active set). Only that goal is placed, to read its
+      // schedule.
       bool improved = false;
-      if (have_goal && best_goal < incumbent) {
+      if (best_goal < incumbent) {
         incumbent = best_goal;
-        result.best = Schedule::from_partial(ctx, best_goal_state);
+        inc.place(cur, goal_task, goal_proc);
+        result.best = Schedule::from_partial(ctx, cur);
+        inc.unplace(cur, goal_task);
         result.found_solution = true;
         ++stats.goal_updates;
         improved = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "parabb/support/assert.hpp"
 
@@ -90,19 +91,19 @@ void IncrementalLB::attach(const PartialSchedule& ps) noexcept {
   for (ProcId p = 0; p < ctx.proc_count(); ++p) {
     avail_sum_ += Time{ps.proc_avail(p)};
   }
-  worst_sched_ = ps.max_lateness_scheduled(ctx);
+  worst_sched_ = kTimeNegInf;
+  for (const TaskId t : ps.scheduled()) {
+    const Time f = Time{ps.finish(ctx, t)};
+    fhat_[static_cast<std::size_t>(t)] = f;
+    worst_sched_ = std::max(worst_sched_, f - Time{ctx.deadline(t)});
+  }
   unsched_topo_ = 0;
   unsched_dl_ = 0;
   unsched_work_ = 0;
-  const TaskSet scheduled = ps.scheduled();
-  for (TaskId t = 0; t < ctx.task_count(); ++t) {
-    if (scheduled.contains(t)) {
-      fhat_[static_cast<std::size_t>(t)] = Time{ps.finish(ctx, t)};
-    } else {
-      unsched_topo_ |= 1ULL << ctx.topo_rank(t);
-      unsched_dl_ |= 1ULL << ctx.deadline_rank(t);
-      unsched_work_ += Time{ctx.exec(t)};
-    }
+  for (const TaskId t : ctx.all_tasks() - ps.scheduled()) {
+    unsched_topo_ |= 1ULL << ctx.topo_rank(t);
+    unsched_dl_ |= 1ULL << ctx.deadline_rank(t);
+    unsched_work_ += Time{ctx.exec(t)};
   }
   depth_ = 0;
 }
@@ -142,16 +143,51 @@ Time IncrementalLB::evaluate(const PartialSchedule& ps, LowerBound kind,
   // Seeding with exact floors (the scheduled prefix and the static
   // a+c−D floor, both <= every f̂−D they cover) cannot change the final
   // maximum — it only lets the cutoff fire before any work happens.
-  Time worst = std::max(worst_sched_, ctx.static_lateness_floor());
+  const Time worst = std::max(worst_sched_, ctx.static_lateness_floor());
   if (worst >= cutoff) return worst;
+  // LB0 has no contention term; kTimeNegInf leaves every start at a_i.
+  const Time lmin = kind == LowerBound::kLB0
+                        ? kTimeNegInf
+                        : Time{ps.min_proc_avail(ctx)};
+  return scan(worst, lmin, unsched_topo_, unsched_dl_, avail_sum_,
+              unsched_work_, kind, cutoff);
+}
 
-  const bool contention = kind != LowerBound::kLB0;
-  const Time lmin = contention ? Time{ps.min_proc_avail(ctx)} : 0;
+Time IncrementalLB::evaluate_child(const PartialSchedule& ps, TaskId t,
+                                   ProcId p, LowerBound kind,
+                                   Time cutoff) noexcept {
+  const SchedContext& ctx = *ctx_;
+  PARABB_ASSERT(ps.ready().contains(t));
+  // The terms place() would update, computed for the child: t's finish
+  // joins the scheduled prefix's lateness, moves p's frontier and l_min,
+  // and leaves the unscheduled masks and work.
+  const Time f = Time{ps.earliest_start(ctx, t, p)} + Time{ctx.exec(t)};
+  const Time worst =
+      std::max({worst_sched_, f - Time{ctx.deadline(t)},
+                ctx.static_lateness_floor()});
+  if (worst >= cutoff) return worst;
+  Time lmin = kTimeNegInf;
+  if (kind != LowerBound::kLB0) {
+    lmin = f;
+    for (ProcId q = 0; q < ctx.proc_count(); ++q) {
+      if (q != p) lmin = std::min(lmin, Time{ps.proc_avail(q)});
+    }
+  }
+  fhat_[static_cast<std::size_t>(t)] = f;
+  return scan(worst, lmin, unsched_topo_ & ~(1ULL << ctx.topo_rank(t)),
+              unsched_dl_ & ~(1ULL << ctx.deadline_rank(t)),
+              avail_sum_ + f - Time{ps.proc_avail(p)},
+              unsched_work_ - Time{ctx.exec(t)}, kind, cutoff);
+}
+
+Time IncrementalLB::scan(Time worst, Time lmin, std::uint64_t topo,
+                         std::uint64_t dl, Time avail_sum, Time work,
+                         LowerBound kind, Time cutoff) noexcept {
+  const SchedContext& ctx = *ctx_;
   const auto order = ctx.topo_order();
-  for (std::uint64_t rest = unsched_topo_; rest != 0; rest &= rest - 1) {
+  for (std::uint64_t rest = topo; rest != 0; rest &= rest - 1) {
     const TaskId t = order[static_cast<std::size_t>(std::countr_zero(rest))];
-    const Time a = Time{ctx.arrival(t)};
-    Time start_floor = contention ? std::max(a, lmin) : a;
+    Time start_floor = std::max(Time{ctx.arrival(t)}, lmin);
     const auto preds = ctx.pred_ids(t);
     for (std::size_t k = 0; k < preds.size(); ++k) {
       start_floor = std::max(
@@ -163,19 +199,20 @@ Time IncrementalLB::evaluate(const PartialSchedule& ps, LowerBound kind,
     if (worst >= cutoff) return worst;
   }
 
-  if (kind == LowerBound::kLB2 && unsched_dl_ != 0) {
+  if (kind == LowerBound::kLB2 && dl != 0) {
     const Time m = ctx.proc_count();
     // No candidate at deadline rank >= r can exceed cap − d_r (its work
-    // term is <= unsched_work_ and deadlines are nondecreasing in rank),
-    // so once cap − d_r <= worst the remaining suffix is settled exactly.
-    const Time cap = (avail_sum_ + unsched_work_ + m - 1) / m;
-    Time work = 0;
-    for (std::uint64_t rest = unsched_dl_; rest != 0; rest &= rest - 1) {
+    // term is <= the unscheduled work and deadlines are nondecreasing in
+    // rank), so once cap − d_r <= worst the remaining suffix is settled
+    // exactly.
+    const Time cap = (avail_sum + work + m - 1) / m;
+    Time prefix = 0;
+    for (std::uint64_t rest = dl; rest != 0; rest &= rest - 1) {
       const int r = std::countr_zero(rest);
       const Time d = Time{ctx.deadline_at_rank(r)};
       if (cap - d <= worst) break;
-      work += Time{ctx.exec_at_deadline_rank(r)};
-      const Time completion = (avail_sum_ + work + m - 1) / m;
+      prefix += Time{ctx.exec_at_deadline_rank(r)};
+      const Time completion = (avail_sum + prefix + m - 1) / m;
       worst = std::max(worst, completion - d);
       if (worst >= cutoff) return worst;
     }

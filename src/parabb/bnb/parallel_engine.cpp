@@ -314,8 +314,11 @@ InlineVector<TaskId, kMaxTasks> branch_tasks(const SchedContext& ctx,
 /// Core of one vertex expansion, shared by both schedulers and the seeding
 /// phase. Goals update the incumbent; each surviving child is handed to
 /// `emit(state, lb)` in generation order (callers order them afterwards).
-/// Zero-copy: candidates are evaluated via place → bound → unplace on one
-/// scratch state; `emit` decides where survivors get copied.
+/// Zero-copy: each candidate is bounded before placement
+/// (IncrementalLB::evaluate_child) on one scratch copy of the parent, and
+/// placed there only when it is kept, when F, the table or a certificate
+/// must inspect it, or when it is a goal that beats the incumbent; `emit`
+/// decides where survivors get copied.
 template <typename Emit>
 void expand_children(Shared& sh, IncrementalLB& inc,
                      const PartialSchedule& parent, Time parent_lb,
@@ -323,14 +326,19 @@ void expand_children(Shared& sh, IncrementalLB& inc,
   ++stats.expanded;
   so.expand(parent.count(), parent_lb);
   const Time threshold = sh.threshold();
+  const int child_count = parent.count() + 1;
   // Goal children need their exact cost (offer_goal compares it to the
   // incumbent directly), so the short-circuit may not fire on them.
-  const bool goal_children = parent.count() + 1 == sh.ctx.task_count();
+  const bool goal_children = child_count == sh.ctx.task_count();
   const Time cutoff =
       (sh.params.incremental_lb && sh.params.elim == ElimRule::kUDBAS &&
        !goal_children && sh.params.certify == nullptr)
           ? threshold
           : kTimeInf;
+  // A child E prunes is settled by its bound alone unless F or a
+  // certificate must see its placed state.
+  const bool place_pruned =
+      sh.params.characteristic || sh.params.certify != nullptr;
   PartialSchedule cur = parent;
   inc.attach(cur);
   std::uint64_t generated_here = 0;
@@ -344,24 +352,41 @@ void expand_children(Shared& sh, IncrementalLB& inc,
       ++children;
       ++stats.generated;
       ++generated_here;
-      inc.place(cur, t, p);
-      const Time lb = sh.params.incremental_lb
-                          ? inc.evaluate(cur, sh.params.lb, cutoff)
-                          : lower_bound_cost(sh.ctx, cur, sh.params.lb);
+      Time lb;
+      if (sh.params.incremental_lb) {
+        lb = inc.evaluate_child(cur, t, p, sh.params.lb, cutoff);
+      } else {
+        const CTime frontier = cur.proc_avail(p);
+        cur.place(sh.ctx, t, p);
+        lb = lower_bound_cost(sh.ctx, cur, sh.params.lb);
+        cur.unplace(sh.ctx, t, frontier);
+      }
       if (goal_children) {
         ++stats.goals;
-        sh.offer_goal(cur, lb, stats, so);
-      } else if (sh.params.characteristic &&
-                 !sh.params.characteristic(sh.ctx, cur)) {
+        // offer_goal's own first test: only a goal that beats the
+        // incumbent is placed and offered.
+        if (lb < sh.incumbent.load(std::memory_order_relaxed)) {
+          inc.place(cur, t, p);
+          sh.offer_goal(cur, lb, stats, so);
+          inc.unplace(cur, t);
+        }
+        continue;
+      }
+      const bool bound_pruned =
+          sh.params.elim == ElimRule::kUDBAS && lb >= threshold;
+      const bool placed = !bound_pruned || place_pruned;
+      if (placed) inc.place(cur, t, p);
+      if (placed && sh.params.characteristic &&
+          !sh.params.characteristic(sh.ctx, cur)) {
         ++stats.pruned_children;
-        so.prune(FlightPruneRule::kCharacteristic, cur.count(), lb);
+        so.prune(FlightPruneRule::kCharacteristic, child_count, lb);
         if (sh.params.certify) {
           sh.params.certify->record_cut(sh.ctx, cur,
                                         CutRule::kCharacteristic, lb);
         }
-      } else if (sh.params.elim == ElimRule::kUDBAS && lb >= threshold) {
+      } else if (bound_pruned) {
         ++stats.pruned_children;
-        so.prune(FlightPruneRule::kBound, cur.count(), lb);
+        so.prune(FlightPruneRule::kBound, child_count, lb);
         if (sh.params.certify) {
           sh.params.certify->record_cut(
               sh.ctx, cur,
@@ -369,7 +394,7 @@ void expand_children(Shared& sh, IncrementalLB& inc,
         }
       } else if (tt && tt->seen_or_insert(cur, lb)) {
         ++stats.pruned_children;  // duplicate: another worker owns this state
-        so.prune(FlightPruneRule::kTransposition, cur.count(), lb);
+        so.prune(FlightPruneRule::kTransposition, child_count, lb);
         if (sh.params.certify) {
           sh.params.certify->record_cut(sh.ctx, cur,
                                         CutRule::kTransposition, lb);
@@ -382,7 +407,7 @@ void expand_children(Shared& sh, IncrementalLB& inc,
         emit(cur, lb);
         ++stats.activated;
       }
-      inc.unplace(cur, t);
+      if (placed) inc.unplace(cur, t);
     }
   }
   if (generated_here > 0) {

@@ -5,8 +5,10 @@
 // the engines silently change their pruning decisions. The tests here pin
 // the two implementations to each other over randomized graphs and
 // place/unplace walks (the fingerprint_from_scratch oracle pattern), check
-// the cutoff contract, and then verify the engines end-to-end: with
-// incremental bounding on and off they must return bit-identical results.
+// the cutoff contract, hold evaluate_child (bound a child without placing
+// it) to place → evaluate → unplace, and then verify the engines
+// end-to-end: with incremental bounding on and off they must return
+// bit-identical results.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -36,10 +38,57 @@ void expect_same_state(const SchedContext& ctx, const PartialSchedule& got,
   }
 }
 
+/// The cutoff contract: a result below `cutoff` is the exact bound;
+/// otherwise it lies in [cutoff, exact]. Either way the `bound >= cutoff`
+/// prune decision matches the exact evaluation.
+void expect_cutoff_contract(Time v, Time exact, Time cutoff) {
+  if (v < cutoff) {
+    EXPECT_EQ(v, exact) << "below-cutoff result must be exact";
+  } else {
+    EXPECT_LE(cutoff, v);
+    EXPECT_LE(v, exact) << "result must stay a valid lower bound";
+  }
+  EXPECT_EQ(v >= cutoff, exact >= cutoff)
+      << "prune decision diverged at cutoff " << cutoff;
+}
+
+/// Every child of `ps` (each ready task on each processor), every bound
+/// kind, cutoffs around the exact child bound: evaluate_child must return
+/// what place → evaluate → unplace returns on `inc`, obey the cutoff
+/// contract, and leave `ps` unchanged.
+void check_children(const SchedContext& ctx, PartialSchedule& ps,
+                    IncrementalLB& inc) {
+  for (const TaskId t : ps.ready()) {
+    for (ProcId p = 0; p < ctx.proc_count(); ++p) {
+      for (const LowerBound kind : kAllBounds) {
+        PartialSchedule child = ps;
+        child.place(ctx, t, p);
+        const Time exact = lower_bound_cost(ctx, child, kind);
+        for (const Time cutoff : {exact - 1, exact, exact + 1, kTimeInf}) {
+          inc.place(ps, t, p);
+          const Time placed = inc.evaluate(ps, kind, cutoff);
+          inc.unplace(ps, t);
+          const PartialSchedule before = ps;
+          const Time v = inc.evaluate_child(ps, t, p, kind, cutoff);
+          ASSERT_EQ(v, placed)
+              << "evaluate_child diverged from place/evaluate/unplace, task "
+              << t << " proc " << p << " kind " << static_cast<int>(kind)
+              << " cutoff " << cutoff << " depth " << ps.count();
+          expect_cutoff_contract(v, exact, cutoff);
+          expect_same_state(ctx, ps, before);
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
 /// One random place/unplace walk over `ctx`, asserting at every step that
-/// the maintained incremental evaluator and a freshly attached one both
-/// agree with lower_bound_cost for all three bound functions, and after
-/// every unplace that the state matches the scanning unplace's.
+/// evaluate_child agrees with placing every child, that the maintained
+/// incremental evaluator — right after those evaluate_child calls — and a
+/// freshly attached one both agree with lower_bound_cost for all three
+/// bound functions, and after every unplace that the state matches the
+/// scanning unplace's.
 void run_walk(const SchedContext& ctx, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   PartialSchedule ps = PartialSchedule::empty(ctx);
@@ -48,6 +97,8 @@ void run_walk(const SchedContext& ctx, std::uint64_t seed) {
   std::vector<TaskId> placed;  // LIFO discipline, as unplace requires
 
   const auto check_all = [&] {
+    check_children(ctx, ps, inc);
+    if (::testing::Test::HasFailure()) return;
     for (const LowerBound kind : kAllBounds) {
       const Time expect = lower_bound_cost(ctx, ps, kind);
       ASSERT_EQ(inc.evaluate(ps, kind), expect)
@@ -62,6 +113,7 @@ void run_walk(const SchedContext& ctx, std::uint64_t seed) {
   };
 
   check_all();
+  if (::testing::Test::HasFailure()) return;
   for (int step = 0; step < 4 * ctx.task_count(); ++step) {
     const TaskSet ready = ps.ready();
     const bool can_place = !ready.empty();
@@ -86,6 +138,7 @@ void run_walk(const SchedContext& ctx, std::uint64_t seed) {
       if (::testing::Test::HasFailure()) return;
     }
     check_all();
+    if (::testing::Test::HasFailure()) return;
   }
 }
 
@@ -114,9 +167,8 @@ TEST(IncrementalLB, MatchesScratchOnHandBuiltGraphs) {
   }
 }
 
-// The cutoff contract: when the returned value is < cutoff it equals the
-// exact bound; otherwise it is some value in [cutoff, exact]. Either way
-// the `bound >= cutoff` prune decision matches the exact evaluation.
+// The cutoff contract (expect_cutoff_contract), for evaluate() on the
+// placed state and for evaluate_child() on each child of it.
 TEST(IncrementalLB, CutoffIsSound) {
   std::mt19937_64 rng(7);
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
@@ -137,15 +189,22 @@ TEST(IncrementalLB, CutoffIsSound) {
       const Time exact = lower_bound_cost(ctx, ps, kind);
       for (const Time cutoff : {exact - 3, exact - 1, exact, exact + 1,
                                 exact + 5, kTimeInf}) {
-        const Time v = inc.evaluate(ps, kind, cutoff);
-        if (v < cutoff) {
-          EXPECT_EQ(v, exact) << "below-cutoff result must be exact";
-        } else {
-          EXPECT_LE(cutoff, v);
-          EXPECT_LE(v, exact) << "result must stay a valid lower bound";
+        expect_cutoff_contract(inc.evaluate(ps, kind, cutoff), exact,
+                               cutoff);
+      }
+    }
+    for (const TaskId t : ps.ready()) {
+      for (ProcId p = 0; p < ctx.proc_count(); ++p) {
+        PartialSchedule child = ps;
+        child.place(ctx, t, p);
+        for (const LowerBound kind : kAllBounds) {
+          const Time exact = lower_bound_cost(ctx, child, kind);
+          for (const Time cutoff : {exact - 3, exact - 1, exact, exact + 1,
+                                    exact + 5, kTimeInf}) {
+            expect_cutoff_contract(inc.evaluate_child(ps, t, p, kind, cutoff),
+                                   exact, cutoff);
+          }
         }
-        EXPECT_EQ(v >= cutoff, exact >= cutoff)
-            << "prune decision diverged at cutoff " << cutoff;
       }
     }
   }
