@@ -1,20 +1,29 @@
 // Watching the branch-and-bound search unfold.
 //
-// Attaches a SearchTrace to a small optimal search and summarizes the
-// event stream: the dive profile (expansions per level), the incumbent
-// trajectory, and where pruning concentrated. A compact way to *see* why
-// LIFO works: goals appear almost immediately and the incumbent rachets
+// Attaches a flight recorder (obs/recorder.hpp) to a small optimal search
+// and summarizes its event stream: the dive profile (expansions per
+// level), the incumbent trajectory, the pruned children split by the rule
+// that cut them, and the last events verbatim. A compact way to *see* why
+// LIFO works: goals appear almost immediately and the incumbent ratchets
 // down within the first few hundred events.
 //
-//   $ ./trace_search [--procs 2] [--tail 25]
+// The recorder reads beside the search: attaching it changes nothing the
+// engine explores or returns, including the bound-aware short-circuit of
+// the lower bound. A pruned child's recorded value is therefore at least
+// the prune threshold, but not always its exact bound.
+//
+//   $ ./trace_search [--procs 2] [--seed 7] [--tail 25]
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "parabb/bnb/engine.hpp"
-#include "parabb/bnb/trace.hpp"
 #include "parabb/deadline/slicing.hpp"
+#include "parabb/obs/observe.hpp"
+#include "parabb/obs/recorder.hpp"
 #include "parabb/support/cli.hpp"
-#include "parabb/support/table.hpp"
 #include "parabb/workload/generator.hpp"
 
 int main(int argc, char** argv) {
@@ -36,32 +45,50 @@ int main(int argc, char** argv) {
       gen.graph,
       make_shared_bus_machine(static_cast<int>(parser.get_int("procs"))));
 
-  SearchTrace trace(1u << 22);
+  FlightRecorder recorder(std::size_t{1} << 22);
+  Observation observe;
+  observe.recorder = &recorder;
   Params params;
-  params.trace = &trace;
+  params.observe = &observe;
   const SearchResult r = solve_bnb(ctx, params);
+  const FlightChannel& channel = recorder.channel(0);
+  const std::vector<FlightEvent> log = channel.chronological();
 
   std::printf("instance: %d tasks on %d processors; optimal lateness %lld "
-              "(%s), %llu events recorded\n\n",
+              "(%s), %llu events recorded",
               ctx.task_count(), ctx.proc_count(),
               static_cast<long long>(r.best_cost),
               r.proved ? "proved" : "unproved",
-              static_cast<unsigned long long>(trace.total_events()));
+              static_cast<unsigned long long>(channel.total()));
+  if (channel.dropped() > 0) {
+    std::printf(" (oldest %llu dropped)",
+                static_cast<unsigned long long>(channel.dropped()));
+  }
+  std::printf("\n\n");
 
-  // Dive profile: expansions per level.
+  // Dive profile, incumbents, and child-level prunes (level >= 0; the
+  // active-set prunes carry level -1) per rule.
   std::array<std::uint64_t, kMaxTasks + 1> expands_per_level{};
-  std::vector<std::pair<std::uint64_t, Time>> incumbents;
+  std::vector<std::pair<std::uint64_t, std::int64_t>> incumbents;
+  constexpr FlightPruneRule kRules[] = {
+      FlightPruneRule::kBound, FlightPruneRule::kCharacteristic,
+      FlightPruneRule::kDominance, FlightPruneRule::kTransposition};
+  std::array<std::uint64_t, std::size(kRules)> prunes_by_rule{};
   std::uint64_t prunes = 0;
-  for (const TraceRecord& rec : trace.chronological()) {
-    switch (rec.event) {
-      case TraceEvent::kExpand:
-        ++expands_per_level[static_cast<std::size_t>(rec.level)];
+  for (const FlightEvent& e : log) {
+    switch (e.kind) {
+      case FlightEventKind::kExpand:
+        ++expands_per_level[static_cast<std::size_t>(e.level)];
         break;
-      case TraceEvent::kIncumbent:
-        incumbents.emplace_back(rec.index, rec.value);
+      case FlightEventKind::kIncumbent:
+        incumbents.emplace_back(e.seq, e.value);
         break;
-      case TraceEvent::kPruneChild:
+      case FlightEventKind::kPrune:
+        if (e.level < 0) break;
         ++prunes;
+        for (std::size_t i = 0; i < std::size(kRules); ++i) {
+          if (e.rule == kRules[i]) ++prunes_by_rule[i];
+        }
         break;
       default:
         break;
@@ -98,16 +125,24 @@ int main(int argc, char** argv) {
                   ? 100.0 * static_cast<double>(prunes) /
                         static_cast<double>(r.stats.generated)
                   : 0.0);
+  for (std::size_t i = 0; i < std::size(kRules); ++i) {
+    std::printf("  %-15s %llu\n", to_string(kRules[i]).c_str(),
+                static_cast<unsigned long long>(prunes_by_rule[i]));
+  }
 
   const auto tail = static_cast<std::size_t>(parser.get_int("tail"));
-  const auto log = trace.chronological();
   std::printf("\nlast %zu events:\n", std::min(tail, log.size()));
   for (std::size_t i = log.size() > tail ? log.size() - tail : 0;
        i < log.size(); ++i) {
-    std::printf("  #%-8llu %-12s level=%-3d value=%lld\n",
-                static_cast<unsigned long long>(log[i].index),
-                to_string(log[i].event).c_str(), log[i].level,
-                static_cast<long long>(log[i].value));
+    const FlightEvent& e = log[i];
+    std::printf("  #%-8llu %-10s level=%-3d value=%lld",
+                static_cast<unsigned long long>(e.seq),
+                to_string(e.kind).c_str(), e.level,
+                static_cast<long long>(e.value));
+    if (e.kind == FlightEventKind::kPrune) {
+      std::printf(" rule=%s", to_string(e.rule).c_str());
+    }
+    std::printf("\n");
   }
   return 0;
 }

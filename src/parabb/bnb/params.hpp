@@ -17,7 +17,6 @@
 
 namespace parabb {
 
-class SearchTrace;           // bnb/trace.hpp
 class CancelToken;           // bnb/cancel.hpp
 class CertificateBuilder;    // verify/certificate.hpp
 class FaultInjector;         // robust/fault.hpp
@@ -135,12 +134,6 @@ struct Params {
   CharacteristicFn characteristic;  ///< F (optional)
   DominanceFn dominance;            ///< D (optional)
 
-  /// Optional event recorder (bnb/trace.hpp); not owned, may be null.
-  /// The sequential engine records expand/activate/prune/goal/incumbent
-  /// events; the parallel engine ignores it (cross-thread ordering would
-  /// be meaningless).
-  SearchTrace* trace = nullptr;
-
   /// Optional cooperative cancellation token (bnb/cancel.hpp); not owned,
   /// may be null. Both engines poll it on the hot loop and return the best
   /// incumbent with TerminationReason::kCancelled once it trips.
@@ -158,8 +151,8 @@ struct Params {
   /// null (as may either member). Both engines honor it: counter deltas
   /// are flushed to the metrics registry at the amortized poll points,
   /// and search events (expand / prune / incumbent / budget / dispose)
-  /// stream into the flight recorder's per-worker rings. Unlike `trace`
-  /// and `certify`, observation is strictly read-beside: it never
+  /// stream into the flight recorder's per-worker rings. Unlike
+  /// `certify`, observation is strictly read-beside: it never
   /// disables the bound-aware LB short-circuit, so results — and the
   /// search trajectory itself — are byte-identical with it on or off.
   const Observation* observe = nullptr;

@@ -6,7 +6,8 @@
 #include "parabb/bnb/engine.hpp"
 #include "parabb/bnb/hooks.hpp"
 #include "parabb/bnb/parallel_engine.hpp"
-#include "parabb/bnb/trace.hpp"
+#include "parabb/obs/observe.hpp"
+#include "parabb/obs/recorder.hpp"
 #include "parabb/platform/topology.hpp"
 #include "parabb/sched/edf.hpp"
 #include "parabb/sched/improve.hpp"
@@ -104,26 +105,31 @@ TEST(CrossFeatures, ChainClusteringNeverBeatsTheOriginalOptimum) {
   }
 }
 
-TEST(CrossFeatures, TraceWithBrAndDominance) {
+TEST(CrossFeatures, FlightRecorderWithBrAndDominance) {
   const TaskGraph g = test::tight_instance(33);
   const SchedContext ctx = test::make_ctx(g, 2);
-  SearchTrace trace(1u << 20);
+  FlightRecorder recorder(std::size_t{1} << 20);
+  Observation ob;
+  ob.recorder = &recorder;
   Params p;
   p.br = 0.15;
   p.dominance = make_processor_symmetry_dominance();
-  p.trace = &trace;
+  p.observe = &ob;
   const SearchResult r = solve_bnb(ctx, p);
   ASSERT_TRUE(r.found_solution);
-  EXPECT_GT(trace.total_events(), 0u);
-  // Pruned-children events include dominance kills; counters must agree
-  // when nothing was dropped from the ring.
-  if (trace.dropped() == 0) {
-    std::uint64_t prunes = 0;
-    for (const TraceRecord& rec : trace.chronological()) {
-      if (rec.event == TraceEvent::kPruneChild) ++prunes;
-    }
-    EXPECT_EQ(prunes, r.stats.pruned_children);
+  const FlightChannel& ch = recorder.channel(0);
+  EXPECT_GT(ch.total(), 0u);
+  ASSERT_EQ(ch.dropped(), 0u);
+  // Child-level prune events (level >= 0) include the dominance kills and
+  // agree with the counter.
+  std::uint64_t prunes = 0, dominated = 0;
+  for (const FlightEvent& e : ch.chronological()) {
+    if (e.kind != FlightEventKind::kPrune || e.level < 0) continue;
+    ++prunes;
+    if (e.rule == FlightPruneRule::kDominance) ++dominated;
   }
+  EXPECT_EQ(prunes, r.stats.pruned_children);
+  EXPECT_GT(dominated, 0u);
 }
 
 TEST(CrossFeatures, ParallelEngineOnTopologies) {

@@ -9,7 +9,7 @@
 // every SearchStats counter except `seconds`, the termination reason,
 // cost, proof flag and certified lower bound, a digest of the best
 // schedule, and — where the configuration attaches them — digests of the
-// certificate text, the SearchTrace dump and the flight-recorder dump.
+// certificate text and the flight-recorder dump.
 //
 // A performance change must leave the file byte-identical. A change that
 // means to alter search decisions regenerates it (docs/testing.md) and
@@ -30,7 +30,6 @@
 #include "parabb/bnb/engine.hpp"
 #include "parabb/bnb/hooks.hpp"
 #include "parabb/bnb/parallel_engine.hpp"
-#include "parabb/bnb/trace.hpp"
 #include "parabb/obs/observe.hpp"
 #include "parabb/obs/recorder.hpp"
 #include "parabb/support/hash.hpp"
@@ -114,7 +113,6 @@ struct Totals {
   std::uint64_t characteristic_rejects = 0;  ///< counted by the F wrapper
   std::uint64_t dominated = 0;               ///< counted by the D wrapper
   std::uint64_t cuts = 0;
-  std::uint64_t trace_events = 0;
   std::uint64_t flight_events = 0;
 };
 
@@ -127,7 +125,6 @@ struct Config {
     return t.pruned_children > 0;
   };
   bool certify = false;
-  bool trace = false;
   bool flight = false;
   bool parallel = false;
 };
@@ -258,11 +255,6 @@ std::vector<Config> grid() {
        .feature = "the transposition table",
        .fired = tt_hits,
        .certify = true},
-      {.name = "trace",
-       .setup = none,
-       .feature = "the trace",
-       .fired = [](const Totals& t) { return t.trace_events > 0; },
-       .trace = true},
       {.name = "flight",
        .setup = none,
        .feature = "the flight recorder",
@@ -305,8 +297,6 @@ std::string ledger_line(const Config& cfg, const Instance& inst,
   p.rb.max_generated = kBudget;
   CertificateBuilder builder;
   if (cfg.certify) p.certify = &builder;
-  std::optional<SearchTrace> trace;
-  if (cfg.trace) p.trace = &trace.emplace(std::size_t{1} << 16);
   std::optional<FlightRecorder> recorder;
   Observation observe;
   if (cfg.flight) {
@@ -358,11 +348,6 @@ std::string ledger_line(const Config& cfg, const Instance& inst,
     os << " cert="
        << hex(digest(certificate_to_text(builder.take(), inst.graph)));
   }
-  if (trace) {
-    totals.trace_events += trace->total_events();
-    os << " trace=" << hex(digest(trace->to_string())) << '/'
-       << trace->total_events();
-  }
   if (recorder) {
     std::uint64_t events = 0;
     for (std::size_t c = 0; c < recorder->channel_count(); ++c) {
@@ -391,8 +376,7 @@ const char* const kHeader =
     "#   tt_evictions tt_collisions steals_attempted steals_succeeded\n"
     "#   degrade_steps peak_active peak_memory_bytes\n"
     "#   | reason best_cost proved certified_lower_bound\n"
-    "#   | schedule digest [cert=digest] [trace=digest/events]\n"
-    "#   [flight=digest/events]\n"
+    "#   | schedule digest [cert=digest] [flight=digest/events]\n"
     "# Regenerate only in a change that means to alter search decisions\n"
     "# (docs/testing.md).\n";
 
