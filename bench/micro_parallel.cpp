@@ -1,26 +1,23 @@
-// Micro-benchmark for the parallel B&B schedulers (ISSUE 8).
+// Micro-benchmark for the parallel B&B engine's work stealing.
 //
-// Measures whole-engine expansion throughput at a sweep of thread counts
-// for both parallel schedulers:
-//   central — the work-sharing baseline: one mutex-guarded global queue,
-//             dive-and-donate workers parked on a condition variable;
-//   ws      — the work-stealing scheduler: per-worker Chase-Lev deques,
-//             randomized victims, batched steals (half, min 1).
+// Measures whole-engine expansion throughput at a sweep of thread counts.
+// The engine distributes work by stealing: per-worker Chase-Lev deques,
+// randomized victims, batched steals (half the victim's deque, min 1).
 //
 // Workload: the §4.1 generator scaled to 18–22 tasks (the paper's 12–16
 // task instances finish in ~100 µs and measure thread setup, not search)
 // with tight sliced deadlines (laxity 1.1), LB2. Tight deadlines put the
 // search in its fine-grained regime — dives die quickly under pruning, so
-// workers go back for work often — which is exactly where the scheduler
-// choice matters. Candidate instances are screened by a 1-thread
-// work-stealing reference run: instances that hit the generated budget
-// instead of exhausting are dropped (and logged), because a budget-capped
-// run does scheduler-dependent work and its throughput is not comparable.
+// workers go back for work often — which is exactly where stealing is
+// exercised. Candidate instances are screened by a 1-thread reference
+// run: instances that hit the generated budget instead of exhausting are
+// dropped (and logged), because a budget-capped run does width-dependent
+// work and its throughput is not comparable.
 //
-// For each thread count the table reports expansions/sec per scheduler,
-// the ws/central throughput ratio, ws self-speedup over its own 1-thread
-// run, and the steal success rate (steals that returned >= 1 vertex /
-// steal probes). Every run's optimal lateness is checked against the
+// For each thread count the table reports expansions/sec, the speedup
+// over the 1-thread run, the steal success rate (steals that returned
+// >= 1 vertex / steal probes), and successful steals per 1000
+// expansions. Every run's optimal lateness is checked against the
 // screening reference; a disagreement fails the benchmark — throughput
 // numbers from a wrong search are worthless.
 //
@@ -54,7 +51,7 @@ struct Instance {
   Time reference_cost = kTimeInf;
 };
 
-struct SchedulerRun {
+struct Point {
   double expansions_per_sec = 0.0;
   double steal_success = 0.0;    ///< steals_succeeded / steals_attempted
   double steals_per_kexp = 0.0;  ///< successful steals per 1000 expansions
@@ -79,8 +76,8 @@ JsonValue table_to_json(const TextTable& table) {
 
 int run(int argc, const char* const* argv) {
   ArgParser parser("micro_parallel",
-                   "parallel B&B expansions/sec: work stealing vs the "
-                   "central-queue baseline across thread counts");
+                   "parallel B&B expansions/sec and work-stealing "
+                   "traffic across thread counts");
   parser.add_option("threads", "thread counts to sweep", "1,2,4,8");
   parser.add_option("procs", "processors in the machine model", "3");
   parser.add_option("seed", "base RNG seed", "20250809");
@@ -93,8 +90,6 @@ int run(int argc, const char* const* argv) {
                     "screening max_generated: candidates that cannot "
                     "exhaust within it are dropped",
                     "3000000");
-  parser.add_option("steal-batch",
-                    "ws steal cap (0 = half the victim's deque)", "0");
   parser.add_option("json", "write a parabb-bench-v1 report to this path",
                     "");
   parser.add_flag("quick", "one tiny iteration (bench_smoke)");
@@ -108,7 +103,6 @@ int run(int argc, const char* const* argv) {
   std::uint64_t budget =
       static_cast<std::uint64_t>(parser.get_int("budget"));
   const double laxity = parser.get_double("laxity");
-  const int steal_batch = static_cast<int>(parser.get_int("steal-batch"));
   std::vector<int> thread_counts;
   for (const std::int64_t t : parser.get_int_list("threads"))
     thread_counts.push_back(static_cast<int>(t));
@@ -138,20 +132,17 @@ int run(int argc, const char* const* argv) {
               cfg.n_min, cfg.n_max, laxity, procs, graphs, repeats);
   std::fflush(stdout);
 
-  const auto solve = [&](const SchedContext& ctx, ParallelScheduler sched,
-                         int threads) {
+  const auto solve = [&](const SchedContext& ctx, int threads) {
     ParallelParams pp;
     pp.base.lb = LowerBound::kLB2;
     pp.base.rb.max_generated = budget;
     pp.threads = threads;
-    pp.scheduler = sched;
-    pp.steal_batch = steal_batch;
     return solve_bnb_parallel(ctx, pp);
   };
 
-  // Screening: keep the first `graphs` candidates whose 1-thread
-  // work-stealing run exhausts the tree (proving its cost optimal); that
-  // run's cost is the agreement reference for every measured run.
+  // Screening: keep the first `graphs` candidates whose 1-thread run
+  // exhausts the tree (proving its cost optimal); that run's cost is the
+  // agreement reference for every measured run.
   const Machine machine = make_shared_bus_machine(procs);
   std::vector<Instance> instances;
   for (std::uint64_t c = 0;
@@ -166,8 +157,7 @@ int run(int argc, const char* const* argv) {
     Instance inst;
     inst.graph = std::move(g.graph);
     inst.ctx = std::make_unique<SchedContext>(inst.graph, machine);
-    const ParallelResult ref =
-        solve(*inst.ctx, ParallelScheduler::kWorkStealing, 1);
+    const ParallelResult ref = solve(*inst.ctx, 1);
     if (ref.reason != TerminationReason::kExhausted) {
       std::printf("screened out candidate seed %llu: stopped before "
                   "exhausting (budget %llu)\n",
@@ -184,117 +174,67 @@ int run(int argc, const char* const* argv) {
     return 1;
   }
 
-  // Paired measurement: for every (instance, repeat) the two schedulers
-  // run back-to-back, alternating which goes first, and contribute one
-  // rate sample each. Machine-wide noise (this is often a shared box)
-  // then hits both arms equally instead of whichever arm ran second.
-  // Rates aggregate by geometric mean, so the ws/central ratio is the
-  // geomean of paired ratios — one slow outlier run cannot swing it the
-  // way pooled totals would.
-  struct Point {
-    SchedulerRun ws;
-    SchedulerRun central;
-  };
-  const auto measure_pair = [&](int threads) -> Point {
+  // Every (instance, repeat) contributes one rate sample. Rates aggregate
+  // by geometric mean, so one slow outlier run (this is often a shared
+  // box) cannot swing a point the way pooled totals would.
+  const auto measure = [&](int threads) -> Point {
     Point out;
-    double ws_log_rate = 0.0, central_log_rate = 0.0;
-    double ws_attempted = 0.0, ws_succeeded = 0.0, ws_expanded = 0.0;
+    double log_rate = 0.0;
+    double attempted = 0.0, succeeded = 0.0, expanded = 0.0;
     int samples = 0;
-    const auto one = [&](ParallelScheduler scheduler,
-                         const Instance& inst) -> double {
-      const ParallelResult res = solve(*inst.ctx, scheduler, threads);
-      if (res.best_cost != inst.reference_cost) {
-        (scheduler == ParallelScheduler::kWorkStealing ? out.ws
-                                                       : out.central)
-            .costs_agree = false;
-        std::fprintf(stderr,
-                     "COST MISMATCH: %s@%d gave %lld, reference %lld\n",
-                     to_string(scheduler).c_str(), threads,
-                     static_cast<long long>(res.best_cost),
-                     static_cast<long long>(inst.reference_cost));
-      }
-      if (scheduler == ParallelScheduler::kWorkStealing) {
-        ws_attempted += static_cast<double>(res.stats.steals_attempted);
-        ws_succeeded += static_cast<double>(res.stats.steals_succeeded);
-        ws_expanded += static_cast<double>(res.stats.expanded);
-      }
-      return res.stats.seconds > 0.0
-                 ? static_cast<double>(res.stats.expanded) /
-                       res.stats.seconds
-                 : 0.0;
-    };
-    for (std::size_t ii = 0; ii < instances.size(); ++ii) {
-      const Instance& inst = instances[ii];
+    for (const Instance& inst : instances) {
       for (int r = 0; r < repeats; ++r) {
-        double ws_rate, central_rate;
-        if ((static_cast<int>(ii) + r) % 2 == 0) {
-          ws_rate = one(ParallelScheduler::kWorkStealing, inst);
-          central_rate = one(ParallelScheduler::kCentralQueue, inst);
-        } else {
-          central_rate = one(ParallelScheduler::kCentralQueue, inst);
-          ws_rate = one(ParallelScheduler::kWorkStealing, inst);
+        const ParallelResult res = solve(*inst.ctx, threads);
+        if (res.best_cost != inst.reference_cost) {
+          out.costs_agree = false;
+          std::fprintf(stderr, "COST MISMATCH: %d threads gave %lld, "
+                               "reference %lld\n",
+                       threads, static_cast<long long>(res.best_cost),
+                       static_cast<long long>(inst.reference_cost));
         }
-        if (ws_rate > 0.0 && central_rate > 0.0) {
-          ws_log_rate += std::log(ws_rate);
-          central_log_rate += std::log(central_rate);
+        attempted += static_cast<double>(res.stats.steals_attempted);
+        succeeded += static_cast<double>(res.stats.steals_succeeded);
+        expanded += static_cast<double>(res.stats.expanded);
+        if (res.stats.seconds > 0.0) {
+          log_rate += std::log(static_cast<double>(res.stats.expanded) /
+                               res.stats.seconds);
           ++samples;
         }
       }
     }
-    if (samples > 0) {
-      out.ws.expansions_per_sec = std::exp(ws_log_rate / samples);
-      out.central.expansions_per_sec =
-          std::exp(central_log_rate / samples);
-    }
-    if (ws_attempted > 0.0) {
-      out.ws.steal_success = ws_succeeded / ws_attempted;
-    }
-    if (ws_expanded > 0.0) {
-      out.ws.steals_per_kexp = 1e3 * ws_succeeded / ws_expanded;
-    }
+    if (samples > 0) out.expansions_per_sec = std::exp(log_rate / samples);
+    if (attempted > 0.0) out.steal_success = succeeded / attempted;
+    if (expanded > 0.0) out.steals_per_kexp = 1e3 * succeeded / expanded;
     return out;
   };
 
-  // Warm-up: touch every instance once per scheduler so the first
-  // measured point is not paying cold caches for everyone else.
-  for (const Instance& inst : instances) {
-    (void)solve(*inst.ctx, ParallelScheduler::kWorkStealing, 1);
-    (void)solve(*inst.ctx, ParallelScheduler::kCentralQueue, 1);
-  }
+  // Warm-up: touch every instance once so the first measured point is
+  // not paying cold caches for everyone else.
+  for (const Instance& inst : instances) (void)solve(*inst.ctx, 1);
 
   TextTable table;
-  table.set_header({"threads", "central exp/s", "ws exp/s", "ws/central",
-                    "ws speedup", "steal ok%", "steals/kexp"});
+  table.set_header(
+      {"threads", "exp/s", "speedup", "steal ok%", "steals/kexp"});
   bool all_agree = true;
-  double ws_base_rate = 0.0;
-  double ratio_at_max_threads = 0.0;
+  double base_rate = 0.0;
+  double speedup_at_max_threads = 0.0;
   for (const int t : thread_counts) {
-    const Point point = measure_pair(t);
-    const SchedulerRun& ws = point.ws;
-    const SchedulerRun& central = point.central;
-    all_agree = all_agree && ws.costs_agree && central.costs_agree;
-    if (ws_base_rate == 0.0) ws_base_rate = ws.expansions_per_sec;
-    const double ratio =
-        central.expansions_per_sec > 0.0
-            ? ws.expansions_per_sec / central.expansions_per_sec
-            : 0.0;
-    ratio_at_max_threads = ratio;
-    table.add_row(
-        {std::to_string(t),
-         fmt_double(central.expansions_per_sec / 1e3, 1) + "k",
-         fmt_double(ws.expansions_per_sec / 1e3, 1) + "k",
-         fmt_double(ratio, 2) + "x",
-         fmt_double(ws_base_rate > 0.0
-                        ? ws.expansions_per_sec / ws_base_rate
-                        : 0.0,
-                    2) + "x",
-         fmt_double(ws.steal_success * 100.0, 1),
-         fmt_double(ws.steals_per_kexp, 2)});
+    const Point point = measure(t);
+    all_agree = all_agree && point.costs_agree;
+    if (base_rate == 0.0) base_rate = point.expansions_per_sec;
+    const double speedup =
+        base_rate > 0.0 ? point.expansions_per_sec / base_rate : 0.0;
+    speedup_at_max_threads = speedup;
+    table.add_row({std::to_string(t),
+                   fmt_double(point.expansions_per_sec / 1e3, 1) + "k",
+                   fmt_double(speedup, 2) + "x",
+                   fmt_double(point.steal_success * 100.0, 1),
+                   fmt_double(point.steals_per_kexp, 2)});
   }
 
-  std::printf("\n## expansion throughput by scheduler\n%s\n",
+  std::printf("\n## expansion throughput by thread count\n%s\n",
               table.to_string().c_str());
-  std::printf("costs %s across every scheduler x thread-count run\n",
+  std::printf("costs %s across every thread-count run\n",
               all_agree ? "AGREE" : "DISAGREE");
 
   const std::string json_path = parser.get_string("json");
@@ -316,7 +256,7 @@ int run(int argc, const char* const* argv) {
     plan.set("screening_budget", budget);
     doc.set("replication", std::move(plan));
     doc.set("costs_agree", all_agree);
-    doc.set("ws_over_central_at_max_threads", ratio_at_max_threads);
+    doc.set("speedup_at_max_threads", speedup_at_max_threads);
     JsonValue tables = JsonValue::object();
     tables.set("throughput", table_to_json(table));
     doc.set("tables", std::move(tables));

@@ -41,9 +41,9 @@ struct SearchStats {
   std::uint64_t tt_misses = 0;       ///< table probes that found no duplicate
   std::uint64_t tt_evictions = 0;    ///< table entries replaced (memory cap)
   std::uint64_t tt_collisions = 0;   ///< equal fingerprint, unequal state
-  /// Work-stealing scheduler only (zero for the sequential engine and the
-  /// central-queue scheduler): victim-deque probes by idle workers, and
-  /// probes that came back with at least one vertex.
+  /// Parallel engine only (zero for the sequential engine): victim-deque
+  /// probes by idle workers, and probes that came back with at least one
+  /// vertex.
   std::uint64_t steals_attempted = 0;
   std::uint64_t steals_succeeded = 0;
   /// Degradation-ladder rungs applied (robust/degrade.hpp); zero unless

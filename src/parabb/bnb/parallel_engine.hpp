@@ -1,50 +1,34 @@
 // Parallel branch-and-bound (extension; DESIGN.md item 8).
 //
-// Two schedulers share one search semantics (same bounds, same pruning,
-// shared atomic incumbent, shared lock-striped transposition table):
+// Workers share one search semantics with the sequential engine: every
+// expansion goes through the same child loop (bnb/expand.hpp), against a
+// shared atomic incumbent and a shared lock-striped transposition table.
 //
-//  * kWorkStealing (default) — decentralized: each worker owns a
-//    Chase-Lev deque (support/ws_deque.hpp). The owner pushes and pops
-//    children at the bottom (sorted-LIFO dive, depth-first locality);
-//    idle workers steal batches from the top of randomly chosen victims
-//    (oldest = shallowest vertices, whose subtrees amortize the steal).
-//    Vertices live in per-worker slab pools, so neither allocation nor
-//    scheduling ever takes a global lock on the hot path. Termination is
-//    detected by an idle-worker counter: a worker is counted idle only
-//    while it holds no vertex, and the search ends when a sweep of every
-//    deque finds them empty AND the counter — re-read after the sweep and
-//    after a final stop-flag check — equals the worker count.
-//    docs/algorithm.md ("Parallel search: work stealing") has the memory-
-//    order and termination arguments.
+// Vertices are distributed by work stealing: each worker owns a
+// Chase-Lev deque (support/ws_deque.hpp). The owner pushes and pops
+// children at the bottom (sorted-LIFO dive, depth-first locality); idle
+// workers steal half of a randomly chosen victim's deque from the top
+// (oldest = shallowest vertices, whose subtrees amortize the steal).
+// Vertices live in per-worker slab pools, so neither allocation nor
+// scheduling ever takes a global lock on the hot path. Termination is
+// detected by an idle-worker counter: a worker is counted idle only while
+// it holds no vertex, and the search ends when a sweep of every deque
+// finds them empty AND the counter — re-read after the sweep and after a
+// final stop-flag check — equals the worker count. docs/algorithm.md
+// ("Parallel search: work stealing") has the memory-order and termination
+// arguments.
 //
-//  * kCentralQueue — the previous work-sharing design, kept as the
-//    benchmark baseline (bench/micro_parallel compares the two): workers
-//    dive on private stacks and donate the shallowest half of their stack
-//    to one mutex-guarded global queue when it runs dry and a peer
-//    starves; idle workers block on the queue's condition variable.
-//
-// Both start from a breadth-first *seeding* phase that expands the root
-// until there is at least one frontier vertex per worker. The returned
-// cost is identical to the sequential engine's under either scheduler;
-// the number of searched vertices varies run-to-run because incumbent
-// improvements propagate asynchronously. Cancellation, the time limit,
-// and the generated budget (PR 2/PR 3 semantics) are polled per expanded
-// vertex under both schedulers.
+// The workers start from a breadth-first *seeding* phase that expands the
+// root until there is at least one frontier vertex per worker. The
+// returned cost is identical to the sequential engine's; the number of
+// searched vertices varies run-to-run because incumbent improvements
+// propagate asynchronously. Cancellation and the generated budget are
+// polled per expanded vertex, the time limit by a supervisor thread.
 #pragma once
-
-#include <cstdint>
 
 #include "parabb/bnb/engine.hpp"
 
 namespace parabb {
-
-/// How the parallel engine distributes vertices among workers.
-enum class ParallelScheduler : std::uint8_t {
-  kWorkStealing,  ///< per-worker Chase-Lev deques, batched steals (default)
-  kCentralQueue,  ///< one shared queue + donation (benchmark baseline)
-};
-
-std::string to_string(ParallelScheduler s);
 
 struct ParallelParams {
   /// Base 9-tuple. `select` is ignored (always LIFO dives); `rb.max_active`
@@ -58,11 +42,6 @@ struct ParallelParams {
   /// any thread is pruned as a duplicate everywhere else.
   Params base;
   int threads = 0;  ///< 0 = hardware concurrency
-  ParallelScheduler scheduler = ParallelScheduler::kWorkStealing;
-  /// Work-stealing only: cap on the vertices one steal may take.
-  /// 0 = auto — half of the victim's visible deque (minimum 1), the
-  /// textbook balance between handoff latency and steal amortization.
-  int steal_batch = 0;
 };
 
 struct ParallelResult {

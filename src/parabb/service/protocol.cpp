@@ -137,7 +137,7 @@ JobRequest request_from_json(const std::string& line) {
   reject_unknown_fields(doc, "request",
                         {"id", "graph", "procs", "comm", "topology",
                          "select", "branch", "lb", "br", "ub", "tt",
-                         "threads", "scheduler", "steal_batch", "priority",
+                         "threads", "priority",
                          "budget", "certify", "flight", "degrade"});
 
   JobRequest req;
@@ -186,19 +186,6 @@ JobRequest request_from_json(const std::string& line) {
 
   req.threads = static_cast<int>(get_int_field(doc, "threads", 1));
   if (req.threads < 0) bad_request("threads must be >= 0");
-  if (const JsonValue* sched = doc.find("scheduler")) {
-    if (!sched->is_string()) bad_request("scheduler must be a string");
-    const std::string& s = sched->as_string();
-    if (s == "ws") {
-      req.scheduler = ParallelScheduler::kWorkStealing;
-    } else if (s == "central") {
-      req.scheduler = ParallelScheduler::kCentralQueue;
-    } else {
-      bad_request("scheduler must be \"ws\" or \"central\"");
-    }
-  }
-  req.steal_batch = static_cast<int>(get_int_field(doc, "steal_batch", 0));
-  if (req.steal_batch < 0) bad_request("steal_batch must be >= 0");
   req.priority = static_cast<int>(get_int_field(doc, "priority", 0));
 
   req.certify = get_bool_field(doc, "certify", false);

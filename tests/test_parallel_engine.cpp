@@ -189,105 +189,56 @@ TEST(ParallelEngine, DisposedCountsWorkAbandonedByCancel) {
   pp.base.cancel = &token;
   const ParallelResult r = solve_bnb_parallel(ctx, pp);
   EXPECT_EQ(r.reason, TerminationReason::kCancelled);
-  // The seed frontier was built before the first poll, so the queue holds
+  // The seed frontier was built before the first poll, so the deques hold
   // work that the stop discarded; it must be accounted, not silently zero.
   EXPECT_GT(r.stats.disposed, 0u);
 }
 
-// Regression for the missed-wakeup race in Shared::request_stop: a stop
-// flag stored without holding queue_mutex can slip between a worker's wait
-// predicate and its block, leaving the worker asleep forever. Cancel under
-// load from a racing thread, at staggered delays, and require every run to
-// join promptly. Runs against both schedulers: the central queue's condvar
-// protocol and the work-stealing timed-park protocol each have their own
-// lost-wakeup surface.
+// Lost-wakeup regression for Shared::request_stop: a stop raised while
+// workers park must still end the search. Cancel under load from a racing
+// thread, at staggered delays, and require every run to join promptly.
 TEST(ParallelEngine, CancelUnderLoadStress) {
   const TaskGraph g = test::tight_instance(29);
   const SchedContext ctx = test::make_ctx(g, 2);
-  for (const ParallelScheduler sched :
-       {ParallelScheduler::kWorkStealing, ParallelScheduler::kCentralQueue}) {
-    for (int rep = 0; rep < 12; ++rep) {
-      CancelToken token;
-      ParallelParams pp;
-      pp.threads = 8;
-      pp.scheduler = sched;
-      pp.base.lb = LowerBound::kLB0;  // weak bound: plenty of live work
-      pp.base.cancel = &token;
-      std::thread canceller([&token, rep] {
-        std::this_thread::sleep_for(std::chrono::microseconds(rep * 300));
-        token.cancel();
-      });
-      const ParallelResult r = solve_bnb_parallel(ctx, pp);
-      canceller.join();
-      EXPECT_TRUE(r.found_solution);  // the EDF seed at minimum
-      EXPECT_TRUE(r.reason == TerminationReason::kCancelled ||
-                  r.reason == TerminationReason::kExhausted);
-    }
+  for (int rep = 0; rep < 12; ++rep) {
+    CancelToken token;
+    ParallelParams pp;
+    pp.threads = 8;
+    pp.base.lb = LowerBound::kLB0;  // weak bound: plenty of live work
+    pp.base.cancel = &token;
+    std::thread canceller([&token, rep] {
+      std::this_thread::sleep_for(std::chrono::microseconds(rep * 300));
+      token.cancel();
+    });
+    const ParallelResult r = solve_bnb_parallel(ctx, pp);
+    canceller.join();
+    EXPECT_TRUE(r.found_solution);  // the EDF seed at minimum
+    EXPECT_TRUE(r.reason == TerminationReason::kCancelled ||
+                r.reason == TerminationReason::kExhausted);
   }
 }
 
-// Idle-accounting regression (ISSUE 8 satellite): a wake -> queue-empty ->
-// re-sleep cycle must not double-decrement `idle`, or termination declares
-// early and the engine returns a wrong (unproved-but-marked-proved)
-// answer. Searches with very uneven subtree sizes at high thread counts
-// maximize wake/re-sleep churn; both engines assert their idle invariant
-// post-join (PARABB_ASSERT fires in debug builds), and here every run must
-// also prove the same optimum. 25 reps x 8 threads gives the race a real
-// chance to land if the accounting regresses.
+// Idle-accounting regression (ISSUE 8 satellite): a failed steal sweep
+// must not double-count a worker in `idle`, or termination declares early
+// and the engine returns a wrong (unproved-but-marked-proved) answer.
+// Searches with very uneven subtree sizes at high thread counts maximize
+// forage/park churn; the engine asserts its idle invariant post-join
+// (PARABB_ASSERT), and here every run must also prove the same optimum.
+// 25 reps x 8 threads gives the race a real chance to land if the
+// accounting regresses.
 TEST(ParallelEngine, IdleAccountingStress) {
   const TaskGraph g = test::tight_instance(33);
   const SchedContext ctx = test::make_ctx(g, 2);
   const Time reference = solve_bnb(ctx, Params{}).best_cost;
-  for (const ParallelScheduler sched :
-       {ParallelScheduler::kWorkStealing, ParallelScheduler::kCentralQueue}) {
-    for (int rep = 0; rep < 25; ++rep) {
-      ParallelParams pp;
-      pp.threads = 8;
-      pp.scheduler = sched;
-      const ParallelResult r = solve_bnb_parallel(ctx, pp);
-      ASSERT_TRUE(r.proved) << to_string(sched) << " rep " << rep;
-      ASSERT_EQ(r.best_cost, reference) << to_string(sched) << " rep " << rep;
-    }
-  }
-}
-
-// The two schedulers must be observationally identical: same optimum, same
-// proof, on the same instances.
-TEST(ParallelEngine, SchedulersAgree) {
-  for (std::uint64_t seed = 50; seed < 58; ++seed) {
-    const TaskGraph g = test::tight_instance(seed);
-    const SchedContext ctx = test::make_ctx(g, 3);
-    ParallelParams ws;
-    ws.threads = 4;
-    ws.scheduler = ParallelScheduler::kWorkStealing;
-    ParallelParams central;
-    central.threads = 4;
-    central.scheduler = ParallelScheduler::kCentralQueue;
-    const ParallelResult a = solve_bnb_parallel(ctx, ws);
-    const ParallelResult b = solve_bnb_parallel(ctx, central);
-    ASSERT_TRUE(a.proved);
-    ASSERT_TRUE(b.proved);
-    EXPECT_EQ(a.best_cost, b.best_cost) << "seed " << seed;
-  }
-}
-
-// The steal-batch cap is a performance knob, never a correctness one: any
-// setting returns the same proved optimum. steal_batch = 1 maximizes steal
-// traffic (every steal moves one vertex), which also makes this the test
-// most likely to observe nonzero steal counters.
-TEST(ParallelEngine, StealBatchKnobDoesNotChangeResults) {
-  const TaskGraph g = test::tight_instance(37);
-  const SchedContext ctx = test::make_ctx(g, 2);
-  const Time reference = solve_bnb(ctx, Params{}).best_cost;
-  for (const int batch : {0, 1, 2, 16}) {
+  for (int rep = 0; rep < 25; ++rep) {
     ParallelParams pp;
     pp.threads = 8;
-    pp.steal_batch = batch;
     const ParallelResult r = solve_bnb_parallel(ctx, pp);
-    ASSERT_TRUE(r.proved) << "steal_batch " << batch;
-    EXPECT_EQ(r.best_cost, reference) << "steal_batch " << batch;
+    ASSERT_TRUE(r.proved) << "rep " << rep;
+    ASSERT_EQ(r.best_cost, reference) << "rep " << rep;
     // Steal accounting is monotone: successes never exceed attempts.
-    EXPECT_LE(r.stats.steals_succeeded, r.stats.steals_attempted);
+    EXPECT_LE(r.stats.steals_succeeded, r.stats.steals_attempted)
+        << "rep " << rep;
   }
 }
 

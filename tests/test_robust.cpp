@@ -364,39 +364,29 @@ TEST(EngineFaults, ParallelAllocFailResolvesToBudget) {
   const TaskGraph g = test::tight_instance(11);
   const Machine m = make_shared_bus_machine(3);
   const SchedContext ctx(g, m);
-  for (const ParallelScheduler sched :
-       {ParallelScheduler::kWorkStealing, ParallelScheduler::kCentralQueue}) {
-    FaultInjector inj(one_fault(FaultKind::kAllocFail, 200));
-    ParallelParams pp;
-    pp.threads = 4;
-    pp.scheduler = sched;
-    pp.base.faults = &inj;
-    const ParallelResult r = solve_bnb_parallel(ctx, pp);
-    EXPECT_EQ(r.reason, TerminationReason::kBudget) << to_string(sched);
-    EXPECT_FALSE(r.proved) << to_string(sched);
-    expect_defined(g, m, r.found_solution, r.best, r.reason,
-                   "parallel alloc " + to_string(sched));
-  }
+  FaultInjector inj(one_fault(FaultKind::kAllocFail, 200));
+  ParallelParams pp;
+  pp.threads = 4;
+  pp.base.faults = &inj;
+  const ParallelResult r = solve_bnb_parallel(ctx, pp);
+  EXPECT_EQ(r.reason, TerminationReason::kBudget);
+  EXPECT_FALSE(r.proved);
+  expect_defined(g, m, r.found_solution, r.best, r.reason, "parallel alloc");
 }
 
 TEST(EngineFaults, ParallelCancelStormResolvesToCancelled) {
   const SchedContext ctx = test::make_ctx(test::tight_instance(7), 3);
-  for (const ParallelScheduler sched :
-       {ParallelScheduler::kWorkStealing, ParallelScheduler::kCentralQueue}) {
-    FaultInjector inj(one_fault(FaultKind::kCancelStorm, 500));
-    ParallelParams pp;
-    pp.threads = 4;
-    pp.scheduler = sched;
-    pp.base.faults = &inj;
-    const ParallelResult r = solve_bnb_parallel(ctx, pp);
-    EXPECT_EQ(r.reason, TerminationReason::kCancelled) << to_string(sched);
-  }
+  FaultInjector inj(one_fault(FaultKind::kCancelStorm, 500));
+  ParallelParams pp;
+  pp.threads = 4;
+  pp.base.faults = &inj;
+  const ParallelResult r = solve_bnb_parallel(ctx, pp);
+  EXPECT_EQ(r.reason, TerminationReason::kCancelled);
 }
 
 // The acceptance gate: >= 200 seeded plans, every one terminating with a
-// defined outcome, across the sequential engine and both parallel
-// schedulers (4- and 8-thread). fault_sweep.sh re-runs this under
-// ASan/TSan.
+// defined outcome, across the sequential engine and the parallel engine
+// at 4 and 8 threads. fault_sweep.sh re-runs this under ASan/TSan.
 TEST(FaultMatrix, TwoHundredSeededPlansAllResolve) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const FaultPlan plan = FaultPlan::random(seed);
@@ -422,8 +412,6 @@ TEST(FaultMatrix, TwoHundredSeededPlansAllResolve) {
       ParallelParams pp;
       pp.base = base;
       pp.threads = seed % 3 == 1 ? 4 : 8;
-      pp.scheduler = seed % 2 == 0 ? ParallelScheduler::kWorkStealing
-                                   : ParallelScheduler::kCentralQueue;
       const ParallelResult r = solve_bnb_parallel(ctx, pp);
       found = r.found_solution;
       best = r.best;

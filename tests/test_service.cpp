@@ -423,54 +423,33 @@ TEST(Protocol, RejectsBadRequests) {
                std::runtime_error);  // TGF error surfaces
 }
 
-TEST(Protocol, SchedulerAndStealBatchParse) {
-  // Defaults: work stealing, auto batch.
-  const JobRequest def = request_from_json(
-      "{\"id\":\"s0\",\"graph\":\"task a exec=1\\n\"}");
-  EXPECT_EQ(def.scheduler, ParallelScheduler::kWorkStealing);
-  EXPECT_EQ(def.steal_batch, 0);
-
-  const JobRequest ws = request_from_json(
-      "{\"id\":\"s1\",\"graph\":\"task a exec=1\\n\",\"threads\":4,"
-      "\"scheduler\":\"ws\",\"steal_batch\":2}");
-  EXPECT_EQ(ws.scheduler, ParallelScheduler::kWorkStealing);
-  EXPECT_EQ(ws.steal_batch, 2);
-
-  const JobRequest central = request_from_json(
-      "{\"id\":\"s2\",\"graph\":\"task a exec=1\\n\",\"threads\":4,"
-      "\"scheduler\":\"central\"}");
-  EXPECT_EQ(central.scheduler, ParallelScheduler::kCentralQueue);
-
-  EXPECT_THROW(request_from_json(
-                   "{\"id\":\"s3\",\"graph\":\"task a exec=1\\n\","
-                   "\"scheduler\":\"fifo\"}"),
-               std::runtime_error);  // unknown scheduler spelling
-  EXPECT_THROW(request_from_json(
-                   "{\"id\":\"s4\",\"graph\":\"task a exec=1\\n\","
-                   "\"steal_batch\":-1}"),
-               std::runtime_error);  // negative cap
+TEST(Protocol, RejectsRetiredSchedulerFields) {
+  // The parallel engine has one scheduler and no steal cap; requests that
+  // still name them fail like any other unknown field.
+  for (const char* field :
+       {"\"scheduler\":\"ws\"", "\"scheduler\":\"central\"",
+        "\"steal_batch\":0", "\"steal_batch\":2"}) {
+    EXPECT_THROW(request_from_json(
+                     std::string("{\"id\":\"s\",\"graph\":\"task a "
+                                 "exec=1\\n\",\"threads\":4,") +
+                     field + "}"),
+                 std::runtime_error)
+        << field;
+  }
 }
 
-TEST(Fingerprint, SchedulerIsACacheKeyDimensionOnlyWhenParallel) {
+TEST(Fingerprint, EngineWidthIsACacheKeyDimension) {
   const std::string base =
       "{\"id\":\"f\",\"graph\":\"task a exec=1\\ntask b exec=2\\n\"";
-  // Sequential requests: scheduler choice cannot affect the result, so it
-  // must not split the cache key.
-  const JobRequest seq_ws =
-      request_from_json(base + ",\"scheduler\":\"ws\"}");
-  const JobRequest seq_central =
-      request_from_json(base + ",\"scheduler\":\"central\"}");
-  EXPECT_EQ(request_fingerprint(seq_ws), request_fingerprint(seq_central));
-  // Parallel requests: the scheduler and steal cap select a different
-  // engine configuration; distinct keys keep the cache honest.
-  const JobRequest par_ws =
-      request_from_json(base + ",\"threads\":4,\"scheduler\":\"ws\"}");
-  const JobRequest par_central =
-      request_from_json(base + ",\"threads\":4,\"scheduler\":\"central\"}");
-  EXPECT_NE(request_fingerprint(par_ws), request_fingerprint(par_central));
-  const JobRequest par_batch = request_from_json(
-      base + ",\"threads\":4,\"scheduler\":\"ws\",\"steal_batch\":2}");
-  EXPECT_NE(request_fingerprint(par_ws), request_fingerprint(par_batch));
+  const JobRequest seq = request_from_json(base + "}");
+  const JobRequest seq1 = request_from_json(base + ",\"threads\":1}");
+  const JobRequest par4 = request_from_json(base + ",\"threads\":4}");
+  const JobRequest par8 = request_from_json(base + ",\"threads\":8}");
+  EXPECT_EQ(request_fingerprint(seq), request_fingerprint(seq1));
+  // A parallel result must never satisfy a sequential request (or one of
+  // another width): the engines may return different optimal schedules.
+  EXPECT_NE(request_fingerprint(seq), request_fingerprint(par4));
+  EXPECT_NE(request_fingerprint(par4), request_fingerprint(par8));
 }
 
 TEST(Protocol, RejectsTruncatedJson) {

@@ -1,12 +1,11 @@
 // Thread-count agreement grid (ISSUE 8).
 //
-// The parallel engine's contract is exactness at any width: the scheduler
-// (work stealing or central queue) and the thread count may change which
-// vertices get expanded and in what order, but never the answer. This
-// suite pins that contract over a 100-seed instance grid:
+// The parallel engine's contract is exactness at any width: the thread
+// count may change which vertices get expanded and in what order, but
+// never the answer. This suite pins that contract over a 100-seed
+// instance grid:
 //
-//   * optimal lateness at 1, 4, and 8 threads equals the 1-thread result,
-//     for both schedulers;
+//   * optimal lateness at 4 and 8 threads equals the 1-thread result;
 //   * on a subset, a certified parallel solve produces a certificate the
 //     independent verifier accepts (CERTIFIED), at 4 and 8 threads;
 //   * budget outcomes agree: a budget generous enough for the 1-thread
@@ -24,11 +23,10 @@
 namespace parabb {
 namespace {
 
-ParallelResult solve_with(const SchedContext& ctx, ParallelScheduler sched,
-                          int threads, std::uint64_t budget = 0) {
+ParallelResult solve_with(const SchedContext& ctx, int threads,
+                          std::uint64_t budget = 0) {
   ParallelParams pp;
   pp.threads = threads;
-  pp.scheduler = sched;
   if (budget > 0) pp.base.rb.max_generated = budget;
   return solve_bnb_parallel(ctx, pp);
 }
@@ -40,21 +38,13 @@ TEST(ThreadAgreement, LatenessIdenticalAcross100Seeds) {
                             ? test::tiny_random(seed, 7, 3)
                             : test::paper_instance(seed);
     const SchedContext ctx = test::make_ctx(g, seed % 3 == 0 ? 2 : 3);
-    const ParallelResult ref =
-        solve_with(ctx, ParallelScheduler::kWorkStealing, 1);
+    const ParallelResult ref = solve_with(ctx, 1);
     ASSERT_TRUE(ref.proved) << "seed " << seed;
     for (const int threads : {4, 8}) {
-      for (const ParallelScheduler sched :
-           {ParallelScheduler::kWorkStealing,
-            ParallelScheduler::kCentralQueue}) {
-        const ParallelResult r = solve_with(ctx, sched, threads);
-        EXPECT_TRUE(r.proved)
-            << "seed " << seed << " threads " << threads << " "
-            << to_string(sched);
-        EXPECT_EQ(r.best_cost, ref.best_cost)
-            << "seed " << seed << " threads " << threads << " "
-            << to_string(sched);
-      }
+      const ParallelResult r = solve_with(ctx, threads);
+      EXPECT_TRUE(r.proved) << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(r.best_cost, ref.best_cost)
+          << "seed " << seed << " threads " << threads;
     }
   }
 }
@@ -88,19 +78,14 @@ TEST(ThreadAgreement, BudgetOutcomesAgreeAcrossWidths) {
     // must exhaust too (the budget is a global generated-count cap and
     // the total work is bounded by the same search space) and agree on
     // the cost.
-    const ParallelResult ref =
-        solve_with(ctx, ParallelScheduler::kWorkStealing, 1, 50'000'000);
+    const ParallelResult ref = solve_with(ctx, 1, 50'000'000);
     ASSERT_EQ(ref.reason, TerminationReason::kExhausted) << "seed " << seed;
     for (const int threads : {4, 8}) {
-      for (const ParallelScheduler sched :
-           {ParallelScheduler::kWorkStealing,
-            ParallelScheduler::kCentralQueue}) {
-        const ParallelResult r = solve_with(ctx, sched, threads, 50'000'000);
-        EXPECT_EQ(r.reason, TerminationReason::kExhausted)
-            << "seed " << seed << " threads " << threads;
-        EXPECT_EQ(r.best_cost, ref.best_cost)
-            << "seed " << seed << " threads " << threads;
-      }
+      const ParallelResult r = solve_with(ctx, threads, 50'000'000);
+      EXPECT_EQ(r.reason, TerminationReason::kExhausted)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(r.best_cost, ref.best_cost)
+          << "seed " << seed << " threads " << threads;
     }
     // Starvation budget: 3 generated vertices. Either the instance proves
     // optimal before the first expansion (EDF incumbent already meets the
@@ -109,21 +94,16 @@ TEST(ThreadAgreement, BudgetOutcomesAgreeAcrossWidths) {
     // expansion is identical at every width, so every width must report
     // kBudget while still holding the EDF seed incumbent. The 1-thread
     // run decides which case this seed is; all widths must agree with it.
-    const ParallelResult starved =
-        solve_with(ctx, ParallelScheduler::kWorkStealing, 1, 3);
+    const ParallelResult starved = solve_with(ctx, 1, 3);
     for (const int threads : {1, 4, 8}) {
-      for (const ParallelScheduler sched :
-           {ParallelScheduler::kWorkStealing,
-            ParallelScheduler::kCentralQueue}) {
-        const ParallelResult r = solve_with(ctx, sched, threads, 3);
-        EXPECT_EQ(r.reason, starved.reason)
-            << "seed " << seed << " threads " << threads;
-        EXPECT_TRUE(r.found_solution);
-        EXPECT_EQ(r.proved, starved.proved)
-            << "seed " << seed << " threads " << threads;
-        EXPECT_EQ(r.best_cost, starved.best_cost)
-            << "seed " << seed << " threads " << threads;
-      }
+      const ParallelResult r = solve_with(ctx, threads, 3);
+      EXPECT_EQ(r.reason, starved.reason)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_TRUE(r.found_solution);
+      EXPECT_EQ(r.proved, starved.proved)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(r.best_cost, starved.best_cost)
+          << "seed " << seed << " threads " << threads;
     }
   }
 }

@@ -12,8 +12,8 @@
 # it dead after a seed-varied delay, resumes from the snapshot with
 # --certify, and asserts the resumed cost equals the reference and
 # parabb_verify certifies the certificate. Trials rotate across the
-# sequential engine and both parallel schedulers (work-stealing at 4
-# threads, central queue at 8). A trial that finishes before the kill
+# sequential engine and the parallel engine at 4 and at 8 threads. A
+# trial that finishes before the kill
 # lands just checks its cost — with a fast machine that is a legitimate
 # outcome, not a failure.
 #
@@ -52,8 +52,8 @@ case "$mode" in
     while [ "$seed" -lt "$seeds" ]; do
       case $((seed % 3)) in
         0) engine="--algo bnb" ;;
-        1) engine="--algo bnb-parallel --threads 4 --scheduler ws" ;;
-        2) engine="--algo bnb-parallel --threads 8 --scheduler central" ;;
+        1) engine="--algo bnb-parallel --threads 4" ;;
+        2) engine="--algo bnb-parallel --threads 8" ;;
       esac
       # Kill delay varied per seed across 0.10 .. 1.00 s of a ~1 s solve.
       delay=$(awk "BEGIN { printf \"%.2f\", 0.10 + ($seed % 10) * 0.10 }")

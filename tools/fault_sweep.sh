@@ -6,8 +6,7 @@
 # quick mode (default; wired into ctest as cli_fault_sweep, label
 # "robust"): drives `parabb_solve --inject-faults <seed>` over 200
 # seeded plans, spreading the seeds across the sequential engine and
-# both parallel schedulers (work-stealing at 4 threads, central queue
-# at 8) the same way the in-process FaultMatrix test does, and asserts
+# the parallel engine at 4 and at 8 threads, and asserts
 # every run exits 0 (optimal), 3 (feasible_timeout), 4 (cancelled), or
 # 5 (infeasible).
 #
@@ -33,8 +32,8 @@ case "$mode" in
     while [ "$seed" -lt "$seeds" ]; do
       case $((seed % 3)) in
         0) engine="--algo bnb" ;;
-        1) engine="--algo bnb-parallel --threads 4 --scheduler ws" ;;
-        2) engine="--algo bnb-parallel --threads 8 --scheduler central" ;;
+        1) engine="--algo bnb-parallel --threads 4" ;;
+        2) engine="--algo bnb-parallel --threads 8" ;;
       esac
       rc=0
       # shellcheck disable=SC2086  # $engine is a flag list on purpose

@@ -158,12 +158,6 @@ int main(int argc, char** argv) {
   parser.add_option("workers",
                     "alias for --threads; takes precedence when nonzero",
                     "0");
-  parser.add_option("scheduler",
-                    "bnb-parallel work distribution: ws | central", "ws");
-  parser.add_option("steal-batch",
-                    "ws scheduler: max vertices per steal "
-                    "(0 = half the victim's deque)",
-                    "0");
   parser.add_option("slice",
                     "assign deadlines by slicing with this laxity ratio "
                     "before solving (0 = keep the file's windows)",
@@ -337,16 +331,6 @@ int main(int argc, char** argv) {
         const auto workers = parser.get_int("workers");
         pp.threads = static_cast<int>(workers != 0 ? workers
                                                    : parser.get_int("threads"));
-        const std::string sched = parser.get_string("scheduler");
-        if (sched == "central") {
-          pp.scheduler = ParallelScheduler::kCentralQueue;
-        } else if (sched == "ws") {
-          pp.scheduler = ParallelScheduler::kWorkStealing;
-        } else {
-          std::fprintf(stderr, "--scheduler must be ws or central\n");
-          return 2;
-        }
-        pp.steal_batch = static_cast<int>(parser.get_int("steal-batch"));
         const ParallelResult r = solve_bnb_parallel(ctx, pp);
         found = r.found_solution;
         proved = r.proved;
