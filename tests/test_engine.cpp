@@ -175,6 +175,58 @@ TEST(Engine, MaxChildrenTruncatesAndUnproves) {
   EXPECT_TRUE(r.found_solution);
 }
 
+// MAXSZDB regression: a cap that is a multiple of m stops the child loop
+// at a task boundary, which still truncates the child set. Three
+// independent tasks on one processor, searched from U = inf: with a cap of
+// 1 or 2 the urgent task is never branched on first, so the run may claim
+// neither a proof nor a lower bound above the optimum of 0.
+TEST(Engine, MaxChildrenAtTaskBoundaryIsNotAProof) {
+  const TaskGraph g = GraphBuilder()
+                          .task("a", 10, /*rel_deadline=*/100)
+                          .task("b", 10, 10)
+                          .task("c", 10, 20)
+                          .build();
+  const SchedContext ctx = test::make_ctx(g, 1);
+  const Time optimum = brute_force(ctx).best_cost;
+  ASSERT_EQ(optimum, 0);
+  for (const int cap : {1, 2}) {
+    Params p = optimal_params();
+    p.ub = UpperBoundInit::kInfinite;
+    p.rb.max_children = cap;
+    const SearchResult r = solve_bnb(ctx, p);
+    EXPECT_FALSE(r.proved) << "cap " << cap;
+    EXPECT_LE(r.certified_lower_bound, optimum) << "cap " << cap;
+  }
+}
+
+// The same contract on random graphs, at caps of m and 2m (the task
+// boundaries of the first two tasks): the certified bound never exceeds
+// the optimum, and a proof is only claimed for the optimum.
+TEST(Engine, MaxChildrenCertificateIsSound) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const TaskGraph g = test::tiny_random(seed, 6, 3);
+    for (const int procs : {2, 3}) {
+      const SchedContext ctx = test::make_ctx(g, procs);
+      const Time optimum = brute_force(ctx).best_cost;
+      for (const int cap : {procs, 2 * procs}) {
+        for (const UpperBoundInit ub :
+             {UpperBoundInit::kFromEDF, UpperBoundInit::kInfinite}) {
+          Params p = optimal_params();
+          p.ub = ub;
+          p.rb.max_children = cap;
+          const SearchResult r = solve_bnb(ctx, p);
+          EXPECT_LE(r.certified_lower_bound, optimum)
+              << "seed " << seed << " m " << procs << " cap " << cap;
+          if (r.proved) {
+            EXPECT_EQ(r.best_cost, optimum)
+                << "seed " << seed << " m " << procs << " cap " << cap;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Engine, StatsAreConsistent) {
   const TaskGraph g = test::tight_instance(11);
   const SchedContext ctx = test::make_ctx(g, 2);
