@@ -3,24 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "parabb/bnb/active_set.hpp"
-#include "parabb/bnb/cancel.hpp"
 #include "parabb/bnb/certify.hpp"
 #include "parabb/bnb/expand.hpp"
+#include "parabb/bnb/governor.hpp"
 #include "parabb/bnb/lower_bound.hpp"
 #include "parabb/bnb/search_obs.hpp"
-#include "parabb/bnb/transposition.hpp"
 #include "parabb/bnb/vertex.hpp"
-#include "parabb/ckpt/checkpoint.hpp"
-#include "parabb/ckpt/snapshot.hpp"
 #include "parabb/robust/fault.hpp"
-#include "parabb/sched/edf.hpp"
 #include "parabb/support/assert.hpp"
 #include "parabb/support/pool.hpp"
-#include "parabb/support/timer.hpp"
 
 namespace parabb {
 
@@ -50,51 +44,19 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
   PARABB_REQUIRE(params.rb.max_children >= 1, "MAXSZDB must be >= 1");
   PARABB_REQUIRE(params.rb.max_active >= 1, "MAXSZAS must be >= 1");
 
-  Stopwatch watch;
+  // U, the certificate, the table, and on a resume everything but the
+  // frontier (bnb/governor.hpp).
+  SearchGovernor gov(ctx, params, SnapshotEngine::kSequential,
+                     params.rb.max_children);
   SearchResult result;
   SearchStats& stats = result.stats;
   SearchObs so;
   so.bind(params.observe, /*channel=*/0);
-
-  // --- Step 1-2: initialize with the upper-bound solution cost U. ---
-  // A resumed run takes its incumbent from the snapshot instead: the
-  // snapshot's cost is <= whatever U would produce (the original run
-  // started from the same U), and re-deriving it here would discard
-  // incumbent improvements the interrupted run already paid for.
-  Time incumbent = kTimeInf;
-  if (params.resume == nullptr) {
-    switch (params.ub) {
-      case UpperBoundInit::kInfinite:
-        break;
-      case UpperBoundInit::kFromEDF: {
-        const EdfResult edf = schedule_edf(ctx);
-        incumbent = edf.max_lateness;
-        result.best = edf.schedule;
-        result.found_solution = true;
-        break;
-      }
-      case UpperBoundInit::kExplicit:
-        incumbent = params.explicit_ub;
-        break;
-    }
-  }
-
-  if (params.certify) {
-    params.certify->begin(ctx, static_cast<int>(params.lb),
-                          params.branch == BranchRule::kBFn, params.br,
-                          describe(params));
-  }
-
-  // Duplicate-state detection: every state that enters the search is
-  // recorded; a child equal to a recorded state with an equal-or-better
-  // bound is pruned (identical states root identical subtrees).
-  std::unique_ptr<TranspositionTable> tt;
-  if (params.transposition.enabled) {
-    tt = std::make_unique<TranspositionTable>(params.transposition);
-  }
-  // Counters rescued when the degradation ladder sheds the table mid-run.
-  bool tt_shed = false;
-  TranspositionCounters tt_shed_counters{};
+  Time incumbent = gov.initial_cost();
+  result.found_solution = gov.initial_found();
+  result.best = std::move(gov.initial_best());
+  stats = gov.base_stats();
+  so.seed(stats);  // registry deltas cover this incarnation only
 
   // Unbudgeted runs allocate in large chunks for throughput. A finite
   // memory budget shrinks the granularity to ~1/64 of the budget (floor
@@ -132,42 +94,33 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
     }
     pool.release(ref);
   };
-  ActiveSet as(params.select, release, params.llb_tie_newest);
+  // The ladder's view, copied into locals after each poll that fires a
+  // rung; it holds the caller's values for the whole run otherwise.
+  BranchRule branch_rule = gov.branch();
+  SelectRule effective_select = gov.select();
+  int effective_max_children = gov.max_children();
+  TranspositionTable* tt = gov.table();
+  ActiveSet as(effective_select, release, params.llb_tie_newest);
 
-  std::uint32_t next_seq = 0;
-
-  // Root vertex: the empty schedule (does not count as an activated child).
-  // A resumed run pushes the snapshot's frontier below instead.
-  if (params.resume == nullptr) {
+  // The frontier: the root (the empty schedule, not an activated child),
+  // or a resumed run's snapshot frontier in container order (exact for
+  // LIFO/FIFO; a valid re-heapification for LLB).
+  const auto push_new = [&](const PartialSchedule& state, Time lb,
+                            std::uint32_t seq) {
     const SlotRef ref = pool.allocate();
     auto* v = static_cast<Vertex*>(pool.get(ref));
+    v->lb = lb;
+    state.pack(ctx, v->state());
+    as.push(VertexEntry{lb, seq, ref});
+  };
+  std::uint32_t next_seq = gov.replay_frontier(so, push_new);
+  if (params.resume == nullptr) {
     const PartialSchedule root = PartialSchedule::empty(ctx);
-    v->lb = lower_bound_cost(ctx, root, params.lb);
-    root.pack(ctx, v->state());
-    as.push(VertexEntry{v->lb, next_seq, ref});
-    ++next_seq;
+    push_new(root, lower_bound_cost(ctx, root, params.lb), next_seq++);
   }
 
   IncrementalLB inc(ctx);
 
-  // Graceful-degradation ladder (robust/degrade.hpp): consulted only at
-  // the amortized poll point, and only when enabled with a finite memory
-  // budget; otherwise `branch_rule` / `effective_max_children` hold the
-  // caller's values for the whole run (byte-identical to pre-ladder).
-  const DegradeSchedule degrade_sched = DegradeSchedule::from(params.degrade);
-  const bool ladder_on =
-      degrade_sched.count > 0 &&
-      params.rb.max_memory_bytes != std::numeric_limits<std::size_t>::max();
-  int degrade_level = 0;
-  BranchRule branch_rule = params.branch;
-  SelectRule effective_select = params.select;
-  int effective_max_children = params.rb.max_children;
-
-  bool compromised = false;  // an RB storage bound forced vertex disposal
-  // Least bound of any vertex lost to a storage bound; with the monotone
-  // bounds of this problem, every pruned subtree's cost is >= its root's
-  // bound, so this floors the optimality-gap certificate.
-  Time compromise_floor = kTimeInf;
   std::vector<StagedChild> staged;
   staged.reserve(static_cast<std::size_t>(ctx.task_count()) *
                  static_cast<std::size_t>(ctx.proc_count()));
@@ -180,150 +133,22 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
     dead.reserve(staged.capacity());
   }
 
-  // --- Crash-safe checkpoint/resume (ckpt/snapshot.hpp). Both paths are
-  // gated on their Params pointer: with ckpt == resume == nullptr nothing
-  // below this comment executes and the run is byte-identical to a
-  // checkpoint-less build.
-  const std::uint64_t instance_fp =
-      (params.ckpt != nullptr || params.resume != nullptr)
-          ? instance_fingerprint(ctx, params)
-          : 0;
-  double resume_seconds = 0.0;  // wall time earlier incarnations spent
-
-  if (params.resume != nullptr) {
-    const SearchSnapshot& snap = *params.resume;
-    PARABB_REQUIRE(snap.instance == instance_fp,
-                   "resume snapshot was written for a different instance "
-                   "or parameter set");
-    // Incumbent and accumulated accounting.
-    incumbent = snap.incumbent_cost;
-    if (snap.found) {
-      result.best = Schedule::from_entries(ctx.task_count(), snap.incumbent);
-      result.found_solution = true;
-    }
-    stats = snap.stats;
-    resume_seconds = snap.stats.seconds;
-    stats.seconds = 0.0;
-    so.seed(stats);  // registry deltas cover this incarnation only
-    // Replay the degradation rungs the interrupted run had already fired,
-    // without re-counting them (stats/certificate carry them already).
-    for (int lvl = 0; lvl < snap.degrade_level && lvl < degrade_sched.count;
-         ++lvl) {
-      switch (degrade_sched.rungs[static_cast<std::size_t>(lvl)].action) {
-        case DegradeAction::kShedTT:
-          if (tt) {
-            tt.reset();
-            tt_shed = true;
-            tt_shed_counters.hits = snap.stats.tt_hits;
-            tt_shed_counters.misses = snap.stats.tt_misses;
-            tt_shed_counters.evictions = snap.stats.tt_evictions;
-            tt_shed_counters.collisions = snap.stats.tt_collisions;
-          }
-          break;
-        case DegradeAction::kTightenDB:
-          effective_max_children = std::min(
-              effective_max_children,
-              std::max(1, ctx.proc_count() *
-                              params.degrade.tightened_children_per_proc));
-          break;
-        case DegradeAction::kBF1:
-          if (branch_rule == BranchRule::kBFn) branch_rule = BranchRule::kBF1;
-          break;
-        case DegradeAction::kDF:
-          branch_rule = BranchRule::kDF;
-          effective_select = SelectRule::kLIFO;
-          as.degrade_to_lifo();
-          break;
-      }
-    }
-    degrade_level = snap.degrade_level;
-    compromised = snap.compromised;
-    compromise_floor = snap.compromise_floor;
-    // Transposition survivors: preloading only accelerates pruning; a
-    // lost entry merely re-explores a subtree, so partial restores are
-    // sound. The snapshot's counters fold in so counters() (and the
-    // final stats.tt_*) keep accumulating across restarts.
-    if (tt && snap.tt_present) {
-      tt->add_counters(snap.tt_counters);
-      for (const SnapshotTTEntry& e : snap.tt_entries)
-        tt->preload(replay_path(ctx, e.path), e.lb);
-    }
-    // Certificate continuity: the resumed builder carries every cut of
-    // every incarnation, so the final certificate audits the whole search.
-    if (params.certify && snap.cert_present) {
-      params.certify->restore_state(snap.cert_cuts, snap.cert_degrades,
-                                    snap.cert_truncated);
-    }
-    // The frontier, replayed through the scheduling operation and pushed
-    // in container order (exact reconstruction for LIFO/FIFO; a valid
-    // re-heapification for LLB).
-    for (const SnapshotVertex& sv : snap.frontier) {
-      const SlotRef ref = pool.allocate();
-      auto* v = static_cast<Vertex*>(pool.get(ref));
-      replay_path(ctx, sv.path).pack(ctx, v->state());
-      v->lb = static_cast<Time>(sv.lb);
-      as.push(VertexEntry{v->lb, sv.seq, ref});
-    }
-    next_seq = snap.next_seq;
-    so.checkpoint_restored(static_cast<std::int64_t>(snap.frontier.size()));
-  }
-
-  // Serializes the complete live state and writes it atomically to
-  // params.ckpt->path(). Called from the poll point; a failed write is
-  // recorded and survived (the search matters more than the snapshot).
+  // Snapshots the active set through the governor; called from the poll
+  // point. Returns true when the write was the SIGTERM path's last act.
   const auto write_checkpoint = [&]() {
-    SearchSnapshot snap;
-    snap.instance = instance_fp;
-    snap.engine = SnapshotEngine::kSequential;
-    snap.found = result.found_solution;
-    snap.incumbent_cost = incumbent;
-    if (result.found_solution) {
-      snap.incumbent.reserve(static_cast<std::size_t>(ctx.task_count()));
-      for (TaskId t = 0; t < ctx.task_count(); ++t)
-        snap.incumbent.push_back(result.best.entry(t));
-    }
-    snap.frontier.reserve(as.size());
+    std::vector<SnapshotVertex> frontier;
+    frontier.reserve(as.size());
     for (const VertexEntry& e : as.entries()) {
       held.unpack(ctx, packed_state(e.ref));
-      snap.frontier.push_back(
+      frontier.push_back(
           SnapshotVertex{placement_path(ctx, held), e.lb, e.seq});
     }
-    snap.next_seq = next_seq;
-    snap.stats = stats;
-    snap.stats.seconds = resume_seconds + watch.seconds();
-    snap.degrade_level = degrade_level;
-    snap.compromised = compromised;
-    snap.compromise_floor = compromise_floor;
-    if (tt) {
-      snap.tt_present = true;
-      snap.tt_counters = tt->counters();
-      tt->for_each_entry([&](const PartialSchedule& s, Time lb) {
-        if (snap.tt_entries.size() < kSnapshotTTCap) {
-          snap.tt_entries.push_back(
-              SnapshotTTEntry{placement_path(ctx, s), lb});
-        }
-      });
-    }
-    if (params.certify) {
-      snap.cert_present = true;
-      params.certify->export_state(snap.cert_cuts, snap.cert_degrades,
-                                   snap.cert_truncated);
-      if (snap.cert_cuts.size() > kSnapshotCutCap) {
-        snap.cert_cuts.resize(kSnapshotCutCap);
-        snap.cert_truncated = true;
-      }
-    }
-    try {
-      const std::size_t bytes = save_snapshot(params.ckpt->path(), snap);
-      params.ckpt->note_written(bytes);
-      so.checkpoint_written(static_cast<std::int64_t>(bytes));
-    } catch (const SnapshotError&) {
-      params.ckpt->note_failed();
-    }
+    return gov.write_checkpoint(std::move(frontier), next_seq, stats,
+                                result.found_solution, incumbent,
+                                result.best, so);
   };
 
   std::uint64_t iter = 0;
-  result.reason = TerminationReason::kExhausted;
   // Scratch state of one expansion: the popped parent, on which each child
   // that needs a placed state is placed and unplaced in turn.
   PartialSchedule cur;
@@ -334,106 +159,37 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       // Deterministic effort caps are enforced exactly (two comparisons per
       // expansion): the service's golden tests rely on a max_generated
       // budget tripping at the same vertex on every run.
-      if (stats.generated >= params.rb.max_generated ||
-          pool.memory_bytes() >= params.rb.max_memory_bytes) {
-        result.reason = TerminationReason::kBudget;
+      if (gov.over_generated(stats.generated) ||
+          gov.over_memory(pool.memory_bytes())) {
         break;
       }
       // Cancellation / wall-clock polls are amortized over 256 expansions
       // so the checks (one relaxed load, one clock read) stay off the hot
       // path.
       if ((++iter & 0xFFu) == 0) {
-        so.budget_checkpoint(static_cast<std::int64_t>(stats.generated));
+        gov.heartbeat(stats.generated, so);
         so.flush(stats);
-        if (params.progress) {
-          params.progress->store(stats.generated, std::memory_order_relaxed);
-        }
         // Snapshot before the cancellation checks, so a SIGTERM-driven
         // request_now() gets its state on disk before the run winds down.
-        if (params.ckpt && params.ckpt->due()) {
-          write_checkpoint();
-          if (params.ckpt->stop_requested()) {
-            result.reason = TerminationReason::kCancelled;
-            break;
-          }
-        }
-        if (params.faults) {
-          params.faults->at_poll(stats.generated);
-          if (params.faults->cancel_requested(stats.generated)) {
-            result.reason = TerminationReason::kCancelled;
-            break;
-          }
-        }
-        if (params.cancel && params.cancel->cancelled()) {
-          result.reason = TerminationReason::kCancelled;
-          break;
-        }
-        double elapsed = resume_seconds + watch.seconds();
-        if (params.faults) elapsed += params.faults->clock_skew_s(stats.generated);
-        if (elapsed > params.rb.time_limit_s) {
-          result.reason = TerminationReason::kTimeLimit;
+        if (gov.checkpoint_due() && write_checkpoint()) break;
+        if (gov.cancelled(stats.generated) ||
+            gov.out_of_time(stats.generated)) {
           break;
         }
         // Step down the degradation ladder while live vertex memory sits
-        // above the next high-water fraction of the budget. Branch-rule and
-        // MAXSZDB rungs make the search incomplete from here on, so they
-        // compromise the proof and floor the gap certificate like a disposal
-        // does: every subtree lost downstream roots at a current AS vertex
-        // (or a descendant), whose bound is >= the AS minimum now.
-        while (ladder_on && degrade_level < degrade_sched.count &&
-               degrade_sched.target_level(pool.live_count() * pool.slot_bytes(),
-                                          params.rb.max_memory_bytes) >
-                   degrade_level) {
-          const DegradeAction action =
-              degrade_sched.rungs[static_cast<std::size_t>(degrade_level)]
-                  .action;
-          ++degrade_level;
-          switch (action) {
-            case DegradeAction::kShedTT:
-              if (tt) {
-                const TranspositionCounters tc = tt->counters();
-                tt_shed_counters = tc;
-                tt_shed = true;
-                tt.reset();  // duplicate pruning only: completeness kept
-              }
-              break;
-            case DegradeAction::kTightenDB:
-              effective_max_children =
-                  std::min(effective_max_children,
-                           std::max(1, ctx.proc_count() *
-                                           params.degrade
-                                               .tightened_children_per_proc));
-              compromised = true;
-              if (!as.empty()) {
-                compromise_floor = std::min(compromise_floor, as.min_lb());
-              }
-              break;
-            case DegradeAction::kBF1:
-              if (branch_rule == BranchRule::kBFn) branch_rule = BranchRule::kBF1;
-              compromised = true;
-              if (!as.empty()) {
-                compromise_floor = std::min(compromise_floor, as.min_lb());
-              }
-              break;
-            case DegradeAction::kDF:
-              // Last resort before the cliff: degenerate into a
-              // depth-first dive — branching *and* selection — so the
-              // remaining memory buys a leaf (an incumbent) instead of
-              // more frontier.
-              branch_rule = BranchRule::kDF;
-              effective_select = SelectRule::kLIFO;
-              as.degrade_to_lifo();
-              compromised = true;
-              if (!as.empty()) {
-                compromise_floor = std::min(compromise_floor, as.min_lb());
-              }
-              break;
-          }
-          ++stats.degrade_steps;
-          so.degrade(degrade_level, static_cast<std::int64_t>(action));
-          if (params.certify) {
-            params.certify->record_degrade(to_string(action), stats.generated,
-                                           degrade_level);
+        // above the next high-water fraction of the budget; the rungs
+        // that void completeness floor the gap certificate at the least
+        // bound still in AS.
+        const std::size_t live = pool.live_count() * pool.slot_bytes();
+        if (gov.ladder_due(live)) {
+          gov.step_ladder(live, as.empty() ? kTimeInf : as.min_lb(),
+                          stats.generated, stats, so);
+          branch_rule = gov.branch();
+          effective_max_children = gov.max_children();
+          tt = gov.table();
+          if (gov.select() != effective_select) {
+            effective_select = gov.select();
+            as.degrade_to_lifo();
           }
         }
       }
@@ -448,7 +204,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         if (as.peek().lb >= threshold) {
           if (effective_select == SelectRule::kLLB) {
             // Least bound already >= incumbent: nothing can improve.
-            result.reason = TerminationReason::kBoundStop;
+            gov.stop(TerminationReason::kBoundStop);
             break;
           }
           if (params.elim == ElimRule::kUDBAS) {
@@ -484,7 +240,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       ProcId goal_proc = kNoProc;
       const bool truncated = expand_children(
           ctx, params, inc, cur, branch_rule, effective_max_children,
-          threshold, tt.get(), stats, so,
+          threshold, tt, stats, so,
           [&](TaskId t, ProcId p, Time cost) {
             if (cost < best_goal) {
               best_goal = cost;
@@ -500,10 +256,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
             cur.pack(ctx, v->state());
             staged.push_back(StagedChild{lb, order, ref});
           });
-      if (truncated) {
-        compromised = true;  // MAXSZDB truncated the child set
-        compromise_floor = std::min(compromise_floor, entry.lb);
-      }
+      if (truncated) gov.lose(entry.lb);  // MAXSZDB truncated the child set
 
       // Incumbent update from the cheapest goal in DB (goal vertices never
       // enter the active set). Only that goal is placed, to read its
@@ -601,12 +354,11 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       if (as.size() > params.rb.max_active) {
         const std::size_t excess = as.size() - params.rb.max_active +
                                    params.rb.max_active / 4;
-        compromise_floor = std::min(compromise_floor, as.min_lb());
+        gov.lose(as.min_lb());
         const std::size_t dropped =
             as.dispose_worst(std::min(excess, as.size() - 1));
         stats.disposed += dropped;
         so.dispose(static_cast<std::int64_t>(dropped));
-        compromised = true;
       }
 
       stats.peak_active = std::max(stats.peak_active, as.size());
@@ -621,20 +373,14 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
     // (its chunks go to the thread's recycler; no leak under ASan). The
     // outcome is the memory-budget cliff: best-so-far, not proved, gap
     // certificate voided.
-    result.reason = TerminationReason::kBudget;
-    compromised = true;
-    compromise_floor = kTimeNegInf;
+    gov.stop(TerminationReason::kBudget);
+    gov.lose(kTimeNegInf);
   }
 
+  result.reason = gov.reason();
   result.best_cost = incumbent;
-  result.proved = result.found_solution && !compromised &&
-                  !is_interrupted(result.reason) &&
-                  params.branch == BranchRule::kBFn;
-  if (params.certify) {
-    params.certify->finish(result.found_solution, result.best,
-                           result.best_cost, result.proved, stats.expanded,
-                           stats.generated);
-  }
+  result.proved =
+      gov.finish(result.found_solution, result.best, result.best_cost, stats);
 
   // Optimality-gap certificate (see SearchResult::certified_lower_bound).
   // F may prune vertices whose completions are cheap-but-invalid, so a
@@ -642,18 +388,10 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
   if (params.branch == BranchRule::kBFn && !params.characteristic) {
     Time floor = prune_threshold(incumbent, params.br);
     if (!as.empty()) floor = std::min(floor, as.min_lb());
-    floor = std::min(floor, compromise_floor);
+    floor = std::min(floor, gov.lost_floor());
     result.certified_lower_bound = std::min(floor, incumbent);
   }
-  if (tt || tt_shed) {
-    const TranspositionCounters tc = tt ? tt->counters() : tt_shed_counters;
-    stats.tt_hits = tc.hits;
-    stats.tt_misses = tc.misses;
-    stats.tt_evictions = tc.evictions + tc.rejected;
-    stats.tt_collisions = tc.collisions;
-  }
-  stats.seconds = resume_seconds + watch.seconds();
-  so.flush(stats);  // final deltas, incl. the tt_* fields set just above
+  so.flush(stats);  // final deltas, incl. the tt_* fields finish() set
   return result;
 }
 
