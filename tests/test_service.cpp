@@ -202,6 +202,18 @@ TEST(Service, MemoryBudgetTrips) {
   ASSERT_TRUE(r.found);
 }
 
+TEST(Service, MemoryBudgetTripsOnTheParallelEngine) {
+  JobRequest req = hard_request("m2");
+  req.threads = 2;
+  req.budget.max_active_bytes = 1;  // parallel engine: summed slab bytes
+  req.budget.wall_ms = 20000;       // safety net only
+  SolverService service({.workers = 1});
+  const JobResult r = service.wait(service.submit(std::move(req)));
+  EXPECT_EQ(r.outcome, JobOutcome::kFeasibleTimeout);
+  EXPECT_EQ(r.reason, TerminationReason::kBudget);
+  ASSERT_TRUE(r.found);
+}
+
 TEST(Service, WallClockBudgetTrips) {
   JobRequest req = hard_request("w");
   req.budget.wall_ms = 50;
