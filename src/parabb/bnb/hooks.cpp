@@ -50,12 +50,23 @@ std::vector<ProcSig> signature(const SchedContext& ctx,
   return sig;
 }
 
+/// True when every pair of distinct processors is the same number of hops
+/// apart, so that any renaming of the processors keeps every message delay.
+bool uniform_hops(const SchedContext& ctx) {
+  for (ProcId p = 0; p < ctx.proc_count(); ++p) {
+    for (ProcId q = 0; q < ctx.proc_count(); ++q) {
+      if (p != q && ctx.hop(p, q) != ctx.hop(0, 1)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 DominanceFn make_processor_symmetry_dominance() {
   return [](const SchedContext& ctx, const PartialSchedule& a,
             const PartialSchedule& b) {
-    if (a.scheduled() != b.scheduled()) return false;
+    if (a.scheduled() != b.scheduled() || !uniform_hops(ctx)) return false;
     return signature(ctx, a) == signature(ctx, b);
   };
 }

@@ -17,7 +17,11 @@
 //    permutation. Completions of b are then exactly completions of a with
 //    the same renaming, so one representative suffices. This is the
 //    symmetry the paper's "all possible permutations" search pays for at
-//    every empty-processor choice.
+//    every empty-processor choice. It holds only while a renaming keeps
+//    every message delay, i.e. when every pair of distinct processors is
+//    the same number of hops apart (a shared bus, a fully connected
+//    network). On any other interconnect (a line, a ring, a mesh) the
+//    rule never fires.
 #pragma once
 
 #include "parabb/bnb/params.hpp"
@@ -33,7 +37,8 @@ CharacteristicFn make_deadline_characteristic();
 
 /// D: sibling equivalence up to a permutation of the identical processors
 /// (see header comment). The engine keeps the first representative of each
-/// equivalence class.
+/// equivalence class. Sound on machines whose processors are pairwise
+/// equally many hops apart; never fires on other machines.
 DominanceFn make_processor_symmetry_dominance();
 
 /// Convenience: parameters configured for a pure feasibility query

@@ -4,6 +4,9 @@
 
 #include "parabb/bnb/brute_force.hpp"
 #include "parabb/bnb/engine.hpp"
+#include "parabb/platform/topology.hpp"
+#include "parabb/verify/certificate.hpp"
+#include "parabb/verify/verifier.hpp"
 #include "test_util.hpp"
 
 namespace parabb {
@@ -112,6 +115,57 @@ TEST(SymmetryDominance, PreservesOptimalityAndPrunes) {
     EXPECT_EQ(b.best_cost, brute_force(ctx).best_cost);
     EXPECT_LE(b.stats.activated, a.stats.activated);
   }
+}
+
+/// A hub `a` (c = 1) sends 5 items to each of three leaves (c = 10); every
+/// deadline is 16. On a 3-processor line only the middle processor reaches
+/// both ends in one hop, so the optimum (lateness 0) puts the hub there;
+/// with the hub at an end a leaf finishes at 21.
+TaskGraph star() {
+  return GraphBuilder()
+      .task("a", 1, 16)
+      .task("b", 10, 16)
+      .task("c", 10, 16)
+      .task("d", 10, 16)
+      .arc("a", "b", 5)
+      .arc("a", "c", 5)
+      .arc("a", "d", 5)
+      .build();
+}
+
+// Renaming processors keeps a schedule's cost only when every pair of
+// processors is equally many hops apart. On a line it does not, so D must
+// not fire: the search reaches 0 and the verifier certifies it.
+TEST(SymmetryDominance, SoundOnHopScaledMachines) {
+  const TaskGraph g = star();
+  const Machine line = make_network_machine(NetworkTopology::line(3));
+  const SchedContext ctx(g, line);
+  Params with;
+  with.dominance = make_processor_symmetry_dominance();
+  CertificateBuilder builder;
+  with.certify = &builder;
+  const SearchResult r = solve_bnb(ctx, with);
+  EXPECT_TRUE(r.proved);
+  EXPECT_EQ(r.best_cost, 0);
+  EXPECT_EQ(r.best_cost, brute_force(ctx).best_cost);
+  EXPECT_TRUE(verify_certificate(g, line, builder.take()).certified);
+}
+
+TEST(SymmetryDominance, StillPrunesOnAFullyConnectedMachine) {
+  const TaskGraph g = star();
+  const Machine full =
+      make_network_machine(NetworkTopology::fully_connected(3));
+  const SchedContext ctx(g, full);
+  Params plain;
+  plain.ub = UpperBoundInit::kInfinite;  // EDF would already find 0
+  Params with = plain;
+  with.dominance = make_processor_symmetry_dominance();
+  const SearchResult a = solve_bnb(ctx, plain);
+  const SearchResult b = solve_bnb(ctx, with);
+  EXPECT_EQ(a.best_cost, 0);
+  EXPECT_EQ(b.best_cost, 0);
+  EXPECT_TRUE(b.proved);
+  EXPECT_LT(b.stats.activated, a.stats.activated);
 }
 
 }  // namespace
