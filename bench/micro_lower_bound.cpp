@@ -12,8 +12,8 @@
 //                  a live search sees once the incumbent tightens);
 //   bound-first  — IncrementalLB::evaluate_child with the same cutoff and
 //                  nothing placed: how the engines bound children.
-// plus whole-engine expansions/sec with Params::incremental_lb on vs off
-// and the copies-per-generated-child ratio implied by the search counters.
+// plus whole-engine expansions/sec (the engines bound bound-first) and the
+// copies-per-generated-child ratio implied by the search counters.
 //
 // Hand-rolled timing (repeat until a minimum elapsed time) instead of
 // google-benchmark so the binary stays dependency-free and scriptable;
@@ -218,8 +218,8 @@ int run(int argc, const char* const* argv) {
                           "speedup", "inc+cutoff ev/s", "cutoff speedup",
                           "bound-first ev/s", "bound-first speedup"});
   TextTable engine_table;
-  engine_table.set_header({"m", "scratch exp/s", "incr exp/s", "speedup",
-                           "copies/child before", "copies/child after"});
+  engine_table.set_header(
+      {"m", "exp/s", "copies/child before", "copies/child after"});
 
   for (const std::int64_t m64 : parser.get_int_list("machines")) {
     const int m = static_cast<int>(m64);
@@ -254,7 +254,7 @@ int run(int argc, const char* const* argv) {
     }
 
     // Whole-engine comparison on tight instances (real pruning pressure).
-    double on_rate = 0.0, off_rate = 0.0;
+    double rate = 0.0;
     double copies_before = 0.0, copies_after = 0.0;
     int runs = 0;
     for (int i = 0; i < std::max(1, graphs / 2); ++i) {
@@ -269,35 +269,27 @@ int run(int argc, const char* const* argv) {
       Params params;
       params.lb = LowerBound::kLB2;
       params.rb.max_generated = budget;
-      params.incremental_lb = true;
-      const SearchResult on = solve_bnb(ctx, params);
-      params.incremental_lb = false;
-      const SearchResult off = solve_bnb(ctx, params);
-      if (on.stats.seconds <= 0.0 || off.stats.seconds <= 0.0) continue;
-      on_rate += static_cast<double>(on.stats.expanded) / on.stats.seconds;
-      off_rate +=
-          static_cast<double>(off.stats.expanded) / off.stats.seconds;
-      const double generated = static_cast<double>(on.stats.generated);
+      const SearchResult r = solve_bnb(ctx, params);
+      if (r.stats.seconds <= 0.0) continue;
+      rate += static_cast<double>(r.stats.expanded) / r.stats.seconds;
+      const double generated = static_cast<double>(r.stats.generated);
       // Seed path: one StagedChild copy per generated child plus a pool
       // copy per activated child. New path: one scratch copy per expanded
       // parent plus a pool copy per activated child.
       copies_before += (generated +
-                        static_cast<double>(on.stats.activated)) /
+                        static_cast<double>(r.stats.activated)) /
                        generated;
-      copies_after += (static_cast<double>(on.stats.expanded) +
-                       static_cast<double>(on.stats.activated)) /
+      copies_after += (static_cast<double>(r.stats.expanded) +
+                       static_cast<double>(r.stats.activated)) /
                       generated;
       ++runs;
     }
     if (runs > 0) {
-      on_rate /= runs;
-      off_rate /= runs;
+      rate /= runs;
       copies_before /= runs;
       copies_after /= runs;
       engine_table.add_row({std::to_string(m),
-                            fmt_double(off_rate / 1e3, 1) + "k",
-                            fmt_double(on_rate / 1e3, 1) + "k",
-                            fmt_double(on_rate / off_rate, 2) + "x",
+                            fmt_double(rate / 1e3, 1) + "k",
                             fmt_double(copies_before, 2),
                             fmt_double(copies_after, 2)});
     }

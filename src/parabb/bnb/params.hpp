@@ -109,14 +109,6 @@ struct Params {
   /// bench/ablation_childorder; LLB is insensitive to it.
   bool sort_children = true;
 
-  /// When true (default), the engines evaluate child bounds through the
-  /// IncrementalLB scratch (bnb/lower_bound.hpp) with the bound-aware
-  /// short-circuit, instead of the from-scratch lower_bound_cost. Results
-  /// are bit-identical either way — the toggle exists so the differential
-  /// suite and bench/micro_lower_bound can compare the two paths on the
-  /// same engine.
-  bool incremental_lb = true;
-
   /// LLB tie-breaking among equal bounds. false (default) = oldest-first,
   /// the behaviour of a plain best-first heap and what the literature's
   /// "default" LLB does; true = newest-first, which makes LLB dive like

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "parabb/deadline/slicing.hpp"
@@ -68,6 +69,37 @@ inline TaskGraph tight_instance(std::uint64_t seed) {
 
 inline SchedContext make_ctx(const TaskGraph& g, int procs) {
   return SchedContext(g, make_shared_bus_machine(procs));
+}
+
+struct LedgerInstance {
+  std::string name;
+  TaskGraph graph;
+  int procs = 2;
+};
+
+/// The effort ledger's corpus (tests/test_effort_ledger.cpp): 12 seeds of
+/// §4.1 graphs, each sliced at the paper's laxity (1.5 x total work) and
+/// at a tight one (1.1 x each chain's work); m cycles through 2, 3, 4.
+inline std::vector<LedgerInstance> ledger_corpus() {
+  std::vector<LedgerInstance> out;
+  int index = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const bool tight : {false, true}) {
+      GeneratedGraph g = generate_graph(paper_config(), seed);
+      SlicingConfig cfg;
+      if (tight) {
+        cfg.base = LaxityBase::kPathWork;
+        cfg.laxity = 1.1;
+      }
+      assign_deadlines_slicing(g.graph, cfg);
+      const int procs = 2 + index++ % 3;
+      out.push_back(LedgerInstance{
+          's' + std::to_string(seed) + (tight ? "-tight" : "-loose") +
+              "-m" + std::to_string(procs),
+          std::move(g.graph), procs});
+    }
+  }
+  return out;
 }
 
 }  // namespace parabb::test
