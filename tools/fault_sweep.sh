@@ -4,11 +4,15 @@
 # documented taxonomy — never a crash, a hang, or an unknown code.
 #
 # quick mode (default; wired into ctest as cli_fault_sweep, label
-# "robust"): drives `parabb_solve --inject-faults <seed>` over 200
-# seeded plans, spreading the seeds across the sequential engine and
-# the parallel engine at 4 and at 8 threads, and asserts
-# every run exits 0 (optimal), 3 (feasible_timeout), 4 (cancelled), or
-# 5 (infeasible).
+# "robust", on tests/data/crash.tgf): drives `parabb_solve
+# --inject-faults <seed>` over 200 seeded plans, each capped at 20000
+# generated vertices. Seeds cycle through three engine slots (the
+# sequential engine, the parallel engine at 4 threads, at 8 threads).
+# Every odd seed also caps memory at --max-memory 65536, and every fourth
+# seed arms --degrade on top, so injected faults meet the memory cliff
+# and the degradation ladder. The sequential slot selects LLB under the
+# cap: its LIFO frontier stays far below 64 KiB. Every run must exit
+# 0 (optimal), 3 (feasible_timeout), 4 (cancelled), or 5 (infeasible).
 #
 #   fault_sweep.sh quick <parabb_solve> <graph.tgf>
 #
@@ -35,6 +39,11 @@ case "$mode" in
         1) engine="--algo bnb-parallel --threads 4" ;;
         2) engine="--algo bnb-parallel --threads 8" ;;
       esac
+      if [ $((seed % 2)) -eq 1 ]; then
+        engine="$engine --max-memory 65536"
+        [ $((seed % 3)) -eq 0 ] && engine="$engine --select llb"
+        [ $((seed % 4)) -eq 3 ] && engine="$engine --degrade"
+      fi
       rc=0
       # shellcheck disable=SC2086  # $engine is a flag list on purpose
       "$solve" "$graph" --procs 2 --max-generated 20000 \
