@@ -71,16 +71,15 @@ TaskGraph crash_graph() {
   return generate_graph(cfg, 1017).graph;
 }
 
-/// Runs a budget-stopped partial search that writes one snapshot at the
-/// first poll point, then returns the loaded snapshot.
+/// Runs a budget-stopped partial search with `params` that writes one
+/// snapshot at the first poll point, then returns the loaded snapshot.
 SearchSnapshot partial_snapshot(const SchedContext& ctx,
                                 const std::string& path,
-                                std::uint64_t budget = 20000) {
+                                Params params = {}) {
   CheckpointController ckpt(path, /*every_ms=*/0);
   ckpt.request_now();
-  Params params;
   params.ckpt = &ckpt;
-  params.rb.max_generated = budget;
+  params.rb.max_generated = 20000;
   const SearchResult r = solve_bnb(ctx, params);
   (void)r;
   EXPECT_GE(ckpt.writes(), 1u);
@@ -255,6 +254,44 @@ TEST(Resume, AccumulatesStatsAcrossRestart) {
   // Totals fold the pre-crash run in: the resumed run alone could not
   // have generated fewer vertices than the snapshot already recorded.
   EXPECT_GE(r.stats.generated, snap.stats.generated);
+}
+
+// A resumed run replays the rungs its snapshot had fired, in both engines,
+// without counting them again: here all four (shed the table, tighten
+// MAXSZDB, BF1, DF), so neither engine may claim a proof, and the shed
+// table's counters are the snapshot's.
+TEST(Resume, ReplaysFiredRungsInBothEngines) {
+  const ScratchDir tmp("rungs");
+  const SchedContext ctx = test::make_ctx(test::tight_instance(3), 3);
+  Params base;
+  base.transposition.enabled = true;
+  base.transposition.memory_cap_bytes = std::size_t{1} << 20;
+  base.degrade.enabled = true;
+  base.rb.max_memory_bytes = std::size_t{1} << 30;  // armed, never reached
+  SearchSnapshot snap = partial_snapshot(ctx, tmp.file("seq.ckpt"), base);
+  ASSERT_TRUE(snap.tt_present);
+  ASSERT_GT(snap.tt_counters.hits, 0u);
+  ASSERT_EQ(snap.degrade_level, 0);
+  snap.degrade_level = 4;
+  snap.compromised = true;
+  snap.compromise_floor = kTimeNegInf;
+
+  Params resume = base;
+  resume.resume = &snap;
+  const SearchResult seq = solve_bnb(ctx, resume);
+  ParallelParams pp;
+  pp.base = resume;
+  pp.threads = 1;
+  const ParallelResult par = solve_bnb_parallel(ctx, pp);
+  for (const SearchStats& s : {seq.stats, par.stats}) {
+    EXPECT_EQ(s.degrade_steps, snap.stats.degrade_steps);
+    EXPECT_EQ(s.tt_hits, snap.tt_counters.hits);
+    EXPECT_EQ(s.tt_misses, snap.tt_counters.misses);
+  }
+  EXPECT_FALSE(seq.proved);
+  EXPECT_TRUE(seq.found_solution);
+  EXPECT_FALSE(par.proved);
+  EXPECT_TRUE(par.found_solution);
 }
 
 // ---------------------------------------------------------------------------
