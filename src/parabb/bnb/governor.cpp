@@ -1,6 +1,7 @@
 #include "parabb/bnb/governor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "parabb/bnb/cancel.hpp"
@@ -148,6 +149,20 @@ bool SearchGovernor::ladder_due(std::size_t used_bytes) const noexcept {
   const int level = level_.load(std::memory_order_relaxed);
   return level < sched_.count &&
          sched_.target_level(used_bytes, params_.rb.max_memory_bytes) > level;
+}
+
+std::size_t SearchGovernor::memory_mark() const noexcept {
+  const std::size_t budget = params_.rb.max_memory_bytes;
+  const int level = level_.load(std::memory_order_relaxed);
+  if (!ladder_on_ || level >= sched_.count) return budget;
+  // One byte under the rung's fraction of the budget, so rounding can only
+  // make the mark early, never late.
+  const double mark = std::floor(
+      sched_.rungs[static_cast<std::size_t>(level)].frac *
+      static_cast<double>(budget));
+  return std::min(budget,
+                  mark < 1.0 ? std::size_t{0}
+                             : static_cast<std::size_t>(mark) - 1);
 }
 
 void SearchGovernor::step_ladder(std::size_t used_bytes, Time floor,

@@ -98,6 +98,11 @@ class SearchGovernor {
   bool ladder_on() const noexcept { return ladder_on_; }
   /// True when `used_bytes` calls for a rung that has not fired yet.
   bool ladder_due(std::size_t used_bytes) const noexcept;
+  /// The least memory at which the cliff or the next rung may be due: the
+  /// next rung's mark while one is left, the budget otherwise (SIZE_MAX
+  /// for an unbudgeted run). Below it neither over_memory nor ladder_due
+  /// can fire, so an engine tests both with one comparison.
+  std::size_t memory_mark() const noexcept;
   /// Fires every rung `used_bytes` calls for, each once across all
   /// callers, and accounts it (stats, flight event, certificate).
   /// `floor` is the least bound a completeness-voiding rung may lose.

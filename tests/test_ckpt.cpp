@@ -57,20 +57,6 @@ struct ScratchDir {
   }
 };
 
-/// The crash-sweep workload (tests/data/crash.tgf is this same graph):
-/// paper-config generator widened to 20-24 tasks at CCR 2 — a ~1 s
-/// 3-processor solve, long enough that a time-limited partial run stops
-/// genuinely mid-search.
-TaskGraph crash_graph() {
-  GeneratorConfig cfg = paper_config();
-  cfg.n_min = 20;
-  cfg.n_max = 24;
-  cfg.depth_min = 8;
-  cfg.depth_max = 10;
-  cfg.ccr = 2.0;
-  return generate_graph(cfg, 1017).graph;
-}
-
 /// Runs a budget-stopped partial search with `params` that writes one
 /// snapshot at the first poll point, then returns the loaded snapshot.
 SearchSnapshot partial_snapshot(const SchedContext& ctx,
@@ -176,7 +162,7 @@ TEST(Snapshot, ResumeRefusesForeignInstance) {
 
 TEST(Resume, InterruptedRunsReachUninterruptedOptimum) {
   const ScratchDir tmp("grid");
-  const TaskGraph g = crash_graph();
+  const TaskGraph g = test::crash_graph();
   const Machine m = make_shared_bus_machine(3);
   const SchedContext ctx(g, m);
 

@@ -67,6 +67,20 @@ inline TaskGraph tight_instance(std::uint64_t seed) {
   return std::move(g.graph);
 }
 
+/// The crash-sweep workload (tests/data/crash.tgf is this same graph):
+/// paper-config generator widened to 20-24 tasks at CCR 2 — a ~1 s
+/// 3-processor solve, long enough that a time-limited partial run stops
+/// genuinely mid-search.
+inline TaskGraph crash_graph() {
+  GeneratorConfig cfg = paper_config();
+  cfg.n_min = 20;
+  cfg.n_max = 24;
+  cfg.depth_min = 8;
+  cfg.depth_max = 10;
+  cfg.ccr = 2.0;
+  return generate_graph(cfg, 1017).graph;
+}
+
 inline SchedContext make_ctx(const TaskGraph& g, int procs) {
   return SchedContext(g, make_shared_bus_machine(procs));
 }
