@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -163,9 +162,10 @@ void expand(Shared& sh, IncrementalLB& inc, PartialSchedule& scratch,
   ++stats.expanded;
   so.expand(scratch.count(), lb);
   const std::uint64_t generated_before = stats.generated;
-  // A truncated child set needs no handling here: only the kTightenDB
-  // rung caps it, and that rung already marked the search incomplete.
-  expand_children(
+  // MAXSZDB, or the kTightenDB rung, truncates the child set: the tree
+  // below the parent is no longer covered, so the search is incomplete
+  // from its bound on.
+  const bool truncated = expand_children(
       sh.ctx, sh.params, inc, scratch, sh.gov.branch(), sh.gov.max_children(),
       sh.threshold(), sh.gov.table(), stats, so,
       [&](TaskId t, ProcId p, Time cost) {
@@ -186,6 +186,7 @@ void expand(Shared& sh, IncrementalLB& inc, PartialSchedule& scratch,
         emit(scratch, child_lb);
         ++stats.activated;
       });
+  if (truncated) sh.gov.lose(lb);
   if (const std::uint64_t n = stats.generated - generated_before; n > 0) {
     sh.generated.fetch_add(n, std::memory_order_relaxed);
   }
@@ -518,6 +519,7 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
 
 ParallelResult solve_bnb_parallel(const SchedContext& ctx,
                                   const ParallelParams& pp) {
+  PARABB_REQUIRE(pp.base.rb.max_children >= 1, "MAXSZDB must be >= 1");
   ParallelResult result;
 
   int threads = pp.threads;
@@ -528,10 +530,9 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
   result.threads_used = threads;
 
   // U, the certificate, the table, and on a resume everything but the
-  // frontier (bnb/governor.hpp). The workers ignore MAXSZDB, so the child
-  // cap starts unbounded.
+  // frontier (bnb/governor.hpp).
   SearchGovernor gov(ctx, pp.base, SnapshotEngine::kParallel,
-                     std::numeric_limits<int>::max());
+                     pp.base.rb.max_children);
   Shared sh(ctx, pp.base, gov, threads);
   sh.incumbent.store(gov.initial_cost());
   result.found_solution = gov.initial_found();

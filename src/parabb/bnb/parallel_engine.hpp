@@ -38,12 +38,14 @@ namespace parabb {
 
 struct ParallelParams {
   /// Base 9-tuple. `select` is ignored (always LIFO dives); `rb.max_active`
-  /// and `rb.max_children` are ignored (no disposal in the parallel
-  /// engine); `dominance` is ignored. BR, LB, branch rule, UB init, the
-  /// time limit, `rb.max_memory_bytes` (summed worker slab bytes, checked
-  /// at every worker flush: the stop cliff, and the degradation-ladder
-  /// signal when the ladder is on; docs/robustness.md), `rb.max_generated`
-  /// (summed across workers) and the `cancel` token apply.
+  /// is ignored (no disposal in the parallel engine); `dominance` is
+  /// ignored. BR, LB, branch rule, UB init, the time limit,
+  /// `rb.max_children` (MAXSZDB: a truncated child set makes the run
+  /// incomplete, as in solve_bnb), `rb.max_memory_bytes` (summed worker
+  /// slab bytes, checked at every worker flush: the stop cliff, and the
+  /// degradation-ladder signal when the ladder is on; docs/robustness.md),
+  /// `rb.max_generated` (summed across workers) and the `cancel` token
+  /// apply.
   /// `transposition` is honored: one table is shared by every worker
   /// (lock-striped), so a state expanded by any thread is pruned as a
   /// duplicate everywhere else.

@@ -8,12 +8,16 @@
 //   * optimal lateness at 4 and 8 threads equals the 1-thread result;
 //   * on a subset, a certified parallel solve produces a certificate the
 //     independent verifier accepts (CERTIFIED), at 4 and 8 threads;
+//   * with MAXSZDB on, no truncated run claims a proof, and every proof
+//     holds the optimum with a CERTIFIED certificate, at 1, 4 and 8 threads;
 //   * budget outcomes agree: a budget generous enough for the 1-thread
 //     run to exhaust lets every width exhaust with the same cost, and a
 //     budget too small for any width trips kBudget at every width.
 //
 // Run under PARABB_SANITIZE=thread to certify the whole path race-free.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "parabb/bnb/parallel_engine.hpp"
 #include "parabb/verify/certificate.hpp"
@@ -68,6 +72,67 @@ TEST(ThreadAgreement, ParallelCertificatesVerifyCertified) {
           << report.error;
     }
   }
+}
+
+/// A small random graph with tight deadlines (1.1 x each chain's work), so
+/// EDF is rarely optimal and the search expands vertices.
+TaskGraph tight_tiny(std::uint64_t seed) {
+  GeneratorConfig cfg;
+  cfg.n_min = cfg.n_max = 8;
+  cfg.depth_min = cfg.depth_max = 3;
+  GeneratedGraph g = generate_graph(cfg, seed);
+  SlicingConfig slicing;
+  slicing.base = LaxityBase::kPathWork;
+  slicing.laxity = 1.1;
+  assign_deadlines_slicing(g.graph, slicing);
+  return std::move(g.graph);
+}
+
+// MAXSZDB: a truncated child set makes the run incomplete at every width.
+// From U = inf a cap of 1 truncates the root's children, so no run may
+// claim a proof. A vertex has (ready tasks) x 2 children: a cap of 4
+// truncates every run here and a cap of 6 about half of them, and a run
+// that claims a proof must hold the optimum and a certificate the
+// verifier accepts.
+TEST(ThreadAgreement, MaxChildrenNeverClaimsAFalseProof) {
+  int proved = 0;
+  int unproved = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const TaskGraph g = tight_tiny(seed);
+    const Machine machine = make_shared_bus_machine(2);
+    const SchedContext ctx(g, machine);
+    const Time optimum = solve_with(ctx, 1).best_cost;
+    for (const int cap : {1, 4, 6}) {
+      for (const int threads : {1, 4, 8}) {
+        CertificateBuilder builder;
+        ParallelParams pp;
+        pp.threads = threads;
+        pp.base.rb.max_children = cap;
+        if (cap == 1) pp.base.ub = UpperBoundInit::kInfinite;
+        pp.base.certify = &builder;
+        const ParallelResult r = solve_bnb_parallel(ctx, pp);
+        const std::string where = "seed " + std::to_string(seed) + " cap " +
+                                  std::to_string(cap) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_TRUE(r.found_solution) << where;
+        EXPECT_GE(r.best_cost, optimum) << where;
+        if (cap == 1) {
+          EXPECT_FALSE(r.proved) << where;
+        }
+        if (!r.proved) {
+          ++unproved;
+          continue;
+        }
+        ++proved;
+        EXPECT_EQ(r.best_cost, optimum) << where;
+        const VerifyReport report =
+            verify_certificate(g, machine, builder.take());
+        EXPECT_TRUE(report.certified) << where << ": " << report.error;
+      }
+    }
+  }
+  EXPECT_GT(proved, 0);
+  EXPECT_GT(unproved, 0);
 }
 
 TEST(ThreadAgreement, BudgetOutcomesAgreeAcrossWidths) {
