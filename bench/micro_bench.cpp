@@ -104,6 +104,51 @@ BENCHMARK(BM_ActiveSetPushPop)
     ->Arg(static_cast<int>(SelectRule::kFIFO))
     ->Arg(static_cast<int>(SelectRule::kLLB));
 
+// Shaped like solve_llb's frontier: about 2^17 entries live, bounds on a
+// plateau a few hundred values wide, and three children pushed per pop,
+// each at or above its parent's bound. One iteration builds the frontier
+// and runs 2^15 expansions on it; items are pushes plus pops.
+void BM_ActiveSetFrontier(benchmark::State& state) {
+  const auto rule = static_cast<SelectRule>(state.range(0));
+  constexpr std::uint32_t kLive = 1u << 17;
+  constexpr std::uint32_t kExpansions = 1u << 15;
+  constexpr int kChildren = 3;
+  std::vector<Time> prefill(kLive);
+  std::vector<Time> deltas(kExpansions * kChildren);
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (Time& lb : prefill) lb = static_cast<Time>(next() % 300);
+  for (Time& d : deltas) d = static_cast<Time>(next() % 4);
+  for (auto _ : state) {
+    ActiveSet as(rule, [](SlotRef) {});
+    std::uint32_t seq = 0;
+    for (const Time lb : prefill) {
+      as.push(VertexEntry{lb, seq, SlotRef{seq, 0}});
+      ++seq;
+    }
+    std::size_t d = 0;
+    for (std::uint32_t i = 0; i < kExpansions; ++i) {
+      const VertexEntry parent = as.pop();
+      for (int c = 0; c < kChildren; ++c) {
+        as.push(VertexEntry{parent.lb + deltas[d++], seq, SlotRef{seq, 0}});
+        ++seq;
+      }
+    }
+    benchmark::DoNotOptimize(as.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (kLive + kExpansions * (kChildren + 1)));
+}
+BENCHMARK(BM_ActiveSetFrontier)
+    ->Arg(static_cast<int>(SelectRule::kLIFO))
+    ->Arg(static_cast<int>(SelectRule::kLLB))
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SlotPoolChurn(benchmark::State& state) {
   SlotPool pool(256);
   for (auto _ : state) {
