@@ -3,29 +3,11 @@
 #include <cstdio>
 
 #include "parabb/experiments/plot.hpp"
+#include "parabb/support/bench_record.hpp"
 #include "parabb/support/json.hpp"
 #include "parabb/support/table.hpp"
 
 namespace parabb::bench {
-namespace {
-
-JsonValue table_to_json(const TextTable& table) {
-  JsonValue out = JsonValue::object();
-  JsonValue header = JsonValue::array();
-  for (const std::string& cell : table.header()) header.push_back(cell);
-  out.set("header", std::move(header));
-  JsonValue rows = JsonValue::array();
-  for (const auto& row : table.rows()) {
-    if (row.empty()) continue;  // horizontal rule, not data
-    JsonValue r = JsonValue::array();
-    for (const std::string& cell : row) r.push_back(cell);
-    rows.push_back(std::move(r));
-  }
-  out.set("rows", std::move(rows));
-  return out;
-}
-
-}  // namespace
 
 void add_common_options(ArgParser& parser,
                         const std::string& default_laxity_base) {
@@ -149,9 +131,7 @@ void run_and_report(const std::string& bench_id,
          ratios);
   }
   if (!setup.json.empty()) {
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "parabb-bench-v1");
-    doc.set("bench", bench_id);
+    JsonValue doc = bench_record(bench_id);
     JsonValue workload = JsonValue::object();
     workload.set("n_min", setup.cfg.workload.n_min);
     workload.set("n_max", setup.cfg.workload.n_max);

@@ -32,28 +32,13 @@
 #include "parabb/platform/machine.hpp"
 #include "parabb/sched/context.hpp"
 #include "parabb/support/cli.hpp"
+#include "parabb/support/bench_record.hpp"
 #include "parabb/support/json.hpp"
 #include "parabb/support/table.hpp"
 #include "parabb/workload/generator.hpp"
 
 namespace parabb {
 namespace {
-
-JsonValue table_to_json(const TextTable& table) {
-  JsonValue out = JsonValue::object();
-  JsonValue header = JsonValue::array();
-  for (const std::string& cell : table.header()) header.push_back(cell);
-  out.set("header", std::move(header));
-  JsonValue rows = JsonValue::array();
-  for (const auto& row : table.rows()) {
-    if (row.empty()) continue;
-    JsonValue r = JsonValue::array();
-    for (const std::string& cell : row) r.push_back(cell);
-    rows.push_back(std::move(r));
-  }
-  out.set("rows", std::move(rows));
-  return out;
-}
 
 SchedContext tight_ctx(std::uint64_t seed, const Machine& machine) {
   GeneratedGraph g = generate_graph(paper_config(), seed);
@@ -216,9 +201,7 @@ int run(int argc, const char* const* argv) {
 
   const std::string json_path = parser.get_string("json");
   if (!json_path.empty()) {
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "parabb-bench-v1");
-    doc.set("bench", "micro_degrade");
+    JsonValue doc = bench_record("micro_degrade");
     JsonValue machines = JsonValue::array();
     for (const auto mm : parser.get_int_list("machines"))
       machines.push_back(static_cast<int>(mm));

@@ -33,6 +33,7 @@
 #include "parabb/sched/context.hpp"
 #include "parabb/sched/partial_schedule.hpp"
 #include "parabb/support/cli.hpp"
+#include "parabb/support/bench_record.hpp"
 #include "parabb/support/json.hpp"
 #include "parabb/support/table.hpp"
 #include "parabb/support/timer.hpp"
@@ -162,22 +163,6 @@ std::string lb_name(LowerBound kind) {
   return kind == LowerBound::kLB1 ? "LB1" : "LB2";
 }
 
-JsonValue table_to_json(const TextTable& table) {
-  JsonValue out = JsonValue::object();
-  JsonValue header = JsonValue::array();
-  for (const std::string& cell : table.header()) header.push_back(cell);
-  out.set("header", std::move(header));
-  JsonValue rows = JsonValue::array();
-  for (const auto& row : table.rows()) {
-    if (row.empty()) continue;
-    JsonValue r = JsonValue::array();
-    for (const std::string& cell : row) r.push_back(cell);
-    rows.push_back(std::move(r));
-  }
-  out.set("rows", std::move(rows));
-  return out;
-}
-
 int run(int argc, const char* const* argv) {
   ArgParser parser("micro_lower_bound",
                    "bound evaluations/sec and engine expansions/sec, "
@@ -302,9 +287,7 @@ int run(int argc, const char* const* argv) {
 
   const std::string json_path = parser.get_string("json");
   if (!json_path.empty()) {
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "parabb-bench-v1");
-    doc.set("bench", "micro_lower_bound");
+    JsonValue doc = bench_record("micro_lower_bound");
     JsonValue machines = JsonValue::array();
     for (const auto m : parser.get_int_list("machines"))
       machines.push_back(static_cast<int>(m));

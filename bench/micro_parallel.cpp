@@ -37,6 +37,7 @@
 #include "parabb/platform/machine.hpp"
 #include "parabb/sched/context.hpp"
 #include "parabb/support/cli.hpp"
+#include "parabb/support/bench_record.hpp"
 #include "parabb/support/json.hpp"
 #include "parabb/support/table.hpp"
 #include "parabb/support/timer.hpp"
@@ -57,22 +58,6 @@ struct Point {
   double steals_per_kexp = 0.0;  ///< successful steals per 1000 expansions
   bool costs_agree = true;       ///< every run matched the reference cost
 };
-
-JsonValue table_to_json(const TextTable& table) {
-  JsonValue out = JsonValue::object();
-  JsonValue header = JsonValue::array();
-  for (const std::string& cell : table.header()) header.push_back(cell);
-  out.set("header", std::move(header));
-  JsonValue rows = JsonValue::array();
-  for (const auto& row : table.rows()) {
-    if (row.empty()) continue;
-    JsonValue r = JsonValue::array();
-    for (const std::string& cell : row) r.push_back(cell);
-    rows.push_back(std::move(r));
-  }
-  out.set("rows", std::move(rows));
-  return out;
-}
 
 int run(int argc, const char* const* argv) {
   ArgParser parser("micro_parallel",
@@ -239,9 +224,7 @@ int run(int argc, const char* const* argv) {
 
   const std::string json_path = parser.get_string("json");
   if (!json_path.empty()) {
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "parabb-bench-v1");
-    doc.set("bench", "micro_parallel");
+    JsonValue doc = bench_record("micro_parallel");
     JsonValue threads = JsonValue::array();
     for (const int t : thread_counts) threads.push_back(t);
     doc.set("threads", std::move(threads));

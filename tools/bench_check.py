@@ -13,14 +13,21 @@ Modes:
 
 * default     -- structure must match AND every numeric quantity must lie
                  within --tolerance (relative) of the baseline. For use on
-                 a quiet machine when hunting perf regressions.
+                 a quiet machine when hunting perf regressions. Timings
+                 are only comparable between runs on the same kind of
+                 machine, so both files must carry the same machine stamp:
+                 "stamp" {num_cpus, cpu_model} in parabb-bench-v1, and
+                 context.num_cpus in google-benchmark JSON. A missing or
+                 different stamp refuses the comparison (exit 3).
 * --structure-only -- timing-free: the fresh run must contain the same
-                 benchmarks / tables / headers as the baseline. This is
-                 what the bench_check_* ctest entries run, so baselines
-                 cannot drift from the binaries without failing CI while
-                 noisy container timings stay out of the gate.
+                 benchmarks / tables / headers as the baseline, whatever
+                 their stamps. This is what the bench_check_* ctest
+                 entries run, so baselines cannot drift from the binaries
+                 without failing CI while noisy container timings stay out
+                 of the gate.
 
-Exit status: 0 = match, 1 = mismatch/regression, 2 = usage or I/O error.
+Exit status: 0 = match, 1 = mismatch/regression, 2 = usage or I/O error,
+3 = timings refused because the machine stamps differ.
 
 Regenerate baselines (docs/testing.md "Baseline regeneration"):
 
@@ -129,6 +136,16 @@ def check_google(fresh, base, tolerance, structure_only):
                     f"{br.get('time_unit', '')}")
 
 
+def machine_stamp(doc):
+    """The stamp that says which kind of machine produced `doc`, or None."""
+    if doc.get("schema") == "parabb-bench-v1":
+        return doc.get("stamp")
+    context = doc.get("context", {})
+    if "num_cpus" not in context:
+        return None
+    return {"num_cpus": context["num_cpus"]}
+
+
 def load(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -152,6 +169,13 @@ def main():
     args = parser.parse_args()
 
     fresh, base = load(args.fresh), load(args.baseline)
+    if not args.structure_only:
+        fresh_stamp, base_stamp = machine_stamp(fresh), machine_stamp(base)
+        if fresh_stamp is None or fresh_stamp != base_stamp:
+            print(f"bench_check: refusing to compare timings: machine stamp "
+                  f"{fresh_stamp} ({args.fresh}) vs {base_stamp} "
+                  f"({args.baseline})", file=sys.stderr)
+            sys.exit(3)
     try:
         if base.get("schema") == "parabb-bench-v1":
             check_parabb(fresh, base, args.tolerance, args.structure_only)

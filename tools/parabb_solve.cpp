@@ -36,6 +36,7 @@
 #include "parabb/service/job.hpp"
 #include "parabb/service/protocol.hpp"
 #include "parabb/support/cli.hpp"
+#include "parabb/support/bench_record.hpp"
 #include "parabb/support/json.hpp"
 #include "parabb/support/table.hpp"
 #include "parabb/taskgraph/io.hpp"
@@ -67,22 +68,6 @@ extern "C" void handle_sigterm(int) {
   }
 }
 
-JsonValue table_to_json(const TextTable& table) {
-  JsonValue out = JsonValue::object();
-  JsonValue header = JsonValue::array();
-  for (const std::string& cell : table.header()) header.push_back(cell);
-  out.set("header", std::move(header));
-  JsonValue rows = JsonValue::array();
-  for (const auto& row : table.rows()) {
-    if (row.empty()) continue;
-    JsonValue r = JsonValue::array();
-    for (const std::string& cell : row) r.push_back(cell);
-    rows.push_back(std::move(r));
-  }
-  out.set("rows", std::move(rows));
-  return out;
-}
-
 /// parabb-bench-v1 record for --stats-json: one metric/value table with
 /// every SearchStats counter (driven by the bnb/search_obs field table,
 /// so new counters show up here automatically) plus the run verdict.
@@ -103,9 +88,7 @@ void write_stats_json(const std::string& path, const std::string& algo,
   t.add_row({"proved", proved ? "1" : "0"});
   t.add_row({"algo", algo});
 
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", "parabb-bench-v1");
-  doc.set("bench", "parabb_solve");
+  JsonValue doc = bench_record("parabb_solve");
   JsonValue tables = JsonValue::object();
   tables.set("solve", table_to_json(t));
   doc.set("tables", std::move(tables));
