@@ -84,9 +84,10 @@ struct SearchSnapshot {
   std::vector<ScheduledTask> incumbent;  ///< entries; empty unless found
 
   // -- frontier ---------------------------------------------------------
-  /// Container order for the sequential active set; concatenated worker
-  /// dumps (each deque oldest-to-newest, then the in-hand vertex) for the
-  /// parallel engine.
+  /// ActiveSet::entries() order for the sequential engine (insertion
+  /// order for LIFO/FIFO, ascending (bound, seq) for LLB); concatenated
+  /// worker dumps (each deque oldest-to-newest, then the in-hand vertex)
+  /// for the parallel engine.
   std::vector<SnapshotVertex> frontier;
   std::uint32_t next_seq = 0;
 
