@@ -48,14 +48,12 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
   // frontier (bnb/governor.hpp).
   SearchGovernor gov(ctx, params, SnapshotEngine::kSequential,
                      params.rb.max_children);
-  SearchResult result;
-  SearchStats& stats = result.stats;
   SearchObs so;
   so.bind(params.observe, /*channel=*/0);
-  Time incumbent = gov.initial_cost();
-  result.found_solution = gov.initial_found();
-  result.best = std::move(gov.initial_best());
-  stats = gov.base_stats();
+  // The incumbent cost, copied for the per-expansion threshold; only this
+  // engine improves it, through gov.offer.
+  Time incumbent = gov.cost();
+  SearchStats stats = gov.base_stats();
   so.seed(stats);  // registry deltas cover this incarnation only
 
   // Unbudgeted runs allocate in large chunks for throughput. A finite
@@ -143,9 +141,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       frontier.push_back(
           SnapshotVertex{placement_path(ctx, held), e.lb, e.seq});
     }
-    return gov.write_checkpoint(std::move(frontier), next_seq, stats,
-                                result.found_solution, incumbent,
-                                result.best, so);
+    return gov.write_checkpoint(std::move(frontier), next_seq, stats, so);
   };
 
   std::uint64_t iter = 0;
@@ -263,16 +259,12 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       // Incumbent update from the cheapest goal in DB (goal vertices never
       // enter the active set). Only that goal is placed, to read its
       // schedule.
-      bool improved = false;
-      if (best_goal < incumbent) {
-        incumbent = best_goal;
+      const bool improved = best_goal < incumbent;
+      if (improved) {
         inc.place(cur, goal_task, goal_proc);
-        result.best = Schedule::from_partial(ctx, cur);
+        gov.offer(best_goal, cur, stats, so);
         inc.unplace(cur, goal_task);
-        result.found_solution = true;
-        ++stats.goal_updates;
-        improved = true;
-        so.incumbent(ctx.task_count(), incumbent);
+        incumbent = best_goal;
       }
 
       // D: optional pairwise dominance filter among siblings.
@@ -379,21 +371,9 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
     gov.lose(kTimeNegInf);
   }
 
-  result.reason = gov.reason();
-  result.best_cost = incumbent;
-  result.proved =
-      gov.finish(result.found_solution, result.best, result.best_cost, stats);
-
-  // Optimality-gap certificate (see SearchResult::certified_lower_bound).
-  // F may prune vertices whose completions are cheap-but-invalid, so a
-  // characteristic function voids the certificate.
-  if (params.branch == BranchRule::kBFn && !params.characteristic) {
-    Time floor = prune_threshold(incumbent, params.br);
-    if (!as.empty()) floor = std::min(floor, as.min_lb());
-    floor = std::min(floor, gov.lost_floor());
-    result.certified_lower_bound = std::min(floor, incumbent);
-  }
-  so.flush(stats);  // final deltas, incl. the tt_* fields finish() set
+  SearchResult result =
+      gov.finish(stats, as.empty() ? kTimeInf : as.min_lb());
+  so.flush(result.stats);  // final deltas, incl. the tt_* fields finish set
   return result;
 }
 

@@ -5,6 +5,7 @@
 // improves the incumbent (upper-bound solution) or is pruned on the spot.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "parabb/bnb/params.hpp"
@@ -53,6 +54,45 @@ struct SearchStats {
   std::size_t peak_memory_bytes = 0; ///< max vertex-pool footprint
   double seconds = 0.0;              ///< wall time of the search
 };
+
+/// One uint64 counter of SearchStats.
+struct SearchStatsField {
+  const char* name;  ///< short name ("expanded"); metric is
+                     ///< parabb_search_<name>_total unless overridden
+  std::uint64_t SearchStats::*member;
+  /// Full metric name override (null -> parabb_search_<name>_total). The
+  /// steal counters use it: their published names are
+  /// parabb_steals_*_total, not parabb_search_steals_*_total.
+  const char* metric = nullptr;
+};
+
+inline constexpr std::size_t kSearchStatsFieldCount = 15;
+/// Every uint64 counter of SearchStats, once. Metric names, stats-JSON
+/// rows, the worker merge (bnb/search_obs.hpp) and the snapshot codec
+/// (ckpt/snapshot.cpp) all walk this table, so a counter added to
+/// SearchStats is wired everywhere by adding one row. The row order is the
+/// snapshot's byte order.
+inline constexpr std::array<SearchStatsField, kSearchStatsFieldCount>
+    kSearchStatsFields = {{
+        {"expanded", &SearchStats::expanded},
+        {"generated", &SearchStats::generated},
+        {"activated", &SearchStats::activated},
+        {"goals", &SearchStats::goals},
+        {"goal_updates", &SearchStats::goal_updates},
+        {"pruned_children", &SearchStats::pruned_children},
+        {"pruned_active", &SearchStats::pruned_active},
+        {"disposed", &SearchStats::disposed},
+        {"tt_hits", &SearchStats::tt_hits},
+        {"tt_misses", &SearchStats::tt_misses},
+        {"tt_evictions", &SearchStats::tt_evictions},
+        {"tt_collisions", &SearchStats::tt_collisions},
+        {"steals_attempted", &SearchStats::steals_attempted,
+         "parabb_steals_attempted_total"},
+        {"steals_succeeded", &SearchStats::steals_succeeded,
+         "parabb_steals_succeeded_total"},
+        {"degrade_steps", &SearchStats::degrade_steps,
+         "parabb_degrade_steps_total"},
+    }};
 
 struct SearchResult {
   /// True when `best` holds an actual schedule (always true with

@@ -34,13 +34,13 @@ SearchGovernor::SearchGovernor(const SchedContext& ctx, const Params& params,
         break;
       case UpperBoundInit::kFromEDF: {
         EdfResult edf = schedule_edf(ctx);
-        initial_cost_ = edf.max_lateness;
-        initial_best_ = std::move(edf.schedule);
-        initial_found_ = true;
+        cost_.store(edf.max_lateness, std::memory_order_relaxed);
+        best_ = std::move(edf.schedule);
+        found_ = true;
         break;
       }
       case UpperBoundInit::kExplicit:
-        initial_cost_ = params.explicit_ub;
+        cost_.store(params.explicit_ub, std::memory_order_relaxed);
         break;
     }
   }
@@ -69,10 +69,10 @@ void SearchGovernor::resume_from(const SearchSnapshot& snap) {
   PARABB_REQUIRE(snap.instance == instance_,
                  "resume snapshot was written for a different instance "
                  "or parameter set");
-  initial_cost_ = snap.incumbent_cost;
+  cost_.store(snap.incumbent_cost, std::memory_order_relaxed);
   if (snap.found) {
-    initial_best_ = Schedule::from_entries(ctx_.task_count(), snap.incumbent);
-    initial_found_ = true;
+    best_ = Schedule::from_entries(ctx_.task_count(), snap.incumbent);
+    found_ = true;
   }
   base_ = snap.stats;
   resume_seconds_ = snap.stats.seconds;
@@ -80,8 +80,8 @@ void SearchGovernor::resume_from(const SearchSnapshot& snap) {
   // Transposition survivors: preloading only accelerates pruning; a lost
   // entry merely re-explores a subtree, so partial restores are sound. The
   // earlier counters (the table's, or the stats' once it was shed) fold
-  // in, so counters() — and a shed rung's copy of them — keep accumulating
-  // across restarts, and the registry only hears this run's share.
+  // in, so counters() keeps accumulating across restarts, and the registry
+  // only hears this run's share.
   if (tt_) {
     TranspositionCounters prior{.hits = snap.stats.tt_hits,
                                 .misses = snap.stats.tt_misses,
@@ -110,6 +110,19 @@ void SearchGovernor::resume_from(const SearchSnapshot& snap) {
     params_.certify->restore_state(snap.cert_cuts, snap.cert_degrades,
                                    snap.cert_truncated);
   }
+}
+
+bool SearchGovernor::offer(Time cost, const PartialSchedule& state,
+                           SearchStats& stats, SearchObs& so) {
+  if (cost >= this->cost()) return false;
+  const std::lock_guard lock(best_mutex_);
+  if (cost >= this->cost()) return false;  // a racing offer won
+  best_ = Schedule::from_partial(ctx_, state);
+  found_ = true;
+  cost_.store(cost, std::memory_order_relaxed);
+  ++stats.goal_updates;
+  so.incumbent(ctx_.task_count(), cost);
+  return true;
 }
 
 bool SearchGovernor::stop(TerminationReason r) noexcept {
@@ -198,24 +211,18 @@ void SearchGovernor::apply_rung(DegradeAction action, Time floor) {
   // bound is >= `floor`.
   switch (action) {
     case DegradeAction::kShedTT:
-      // Duplicate pruning only: completeness is kept.
+      // Duplicate pruning only: completeness is kept. A parallel prober
+      // may still hold the pointer, so the table object lives on with its
+      // counters and frees only its slots.
       if (TranspositionTable* const t =
               table_.exchange(nullptr, std::memory_order_relaxed)) {
-        shed_counters_ = t->counters();
-        // A parallel prober may still hold the pointer: keep the object
-        // alive and drop its entries instead.
-        if (engine_ == SnapshotEngine::kParallel) {
-          t->clear();
-        } else {
-          tt_.reset();
-        }
+        t->release();
       }
       break;
     case DegradeAction::kTightenDB:
       max_children_.store(
           std::min(max_children_.load(std::memory_order_relaxed),
-                   std::max(1, ctx_.proc_count() *
-                                   params_.degrade.tightened_children_per_proc)),
+                   tightened_child_cap(ctx_.proc_count())),
           std::memory_order_relaxed);
       lose(floor);
       break;
@@ -251,18 +258,20 @@ bool SearchGovernor::checkpoint_due() const noexcept {
 
 bool SearchGovernor::write_checkpoint(std::vector<SnapshotVertex> frontier,
                                       std::uint32_t next_seq,
-                                      const SearchStats& stats, bool found,
-                                      Time cost, const Schedule& best,
+                                      const SearchStats& stats,
                                       SearchObs& so) {
   SearchSnapshot snap;
   snap.instance = instance_;
   snap.engine = engine_;
-  snap.found = found;
-  snap.incumbent_cost = cost;
-  if (found) {
-    snap.incumbent.reserve(static_cast<std::size_t>(ctx_.task_count()));
-    for (TaskId t = 0; t < ctx_.task_count(); ++t)
-      snap.incumbent.push_back(best.entry(t));
+  {
+    const std::lock_guard lock(best_mutex_);
+    snap.found = found_;
+    snap.incumbent_cost = cost();
+    if (found_) {
+      snap.incumbent.reserve(static_cast<std::size_t>(ctx_.task_count()));
+      for (TaskId t = 0; t < ctx_.task_count(); ++t)
+        snap.incumbent.push_back(best_.entry(t));
+    }
   }
   snap.frontier = std::move(frontier);
   snap.next_seq = next_seq;
@@ -304,24 +313,40 @@ bool SearchGovernor::write_checkpoint(std::vector<SnapshotVertex> frontier,
          stop(TerminationReason::kCancelled);
 }
 
-bool SearchGovernor::finish(bool found, const Schedule& best, Time cost,
-                            SearchStats& stats) {
-  if (params_.transposition.enabled) {
-    const TranspositionCounters tc = tt_ ? tt_->counters() : shed_counters_;
-    stats.tt_hits = tc.hits;
-    stats.tt_misses = tc.misses;
-    stats.tt_evictions = tc.evictions + tc.rejected;
-    stats.tt_collisions = tc.collisions;
+SearchResult SearchGovernor::finish(const SearchStats& stats,
+                                    Time open_floor) {
+  SearchResult r;
+  r.stats = stats;
+  if (tt_) {
+    const TranspositionCounters tc = tt_->counters();
+    r.stats.tt_hits = tc.hits;
+    r.stats.tt_misses = tc.misses;
+    r.stats.tt_evictions = tc.evictions + tc.rejected;
+    r.stats.tt_collisions = tc.collisions;
   }
-  stats.seconds = elapsed();
-  const bool proved = found && !incomplete() &&
-                      !is_interrupted(reason()) &&
-                      params_.branch == BranchRule::kBFn;
+  r.stats.seconds = elapsed();
+  r.reason = reason();
+  {
+    const std::lock_guard lock(best_mutex_);
+    r.found_solution = found_;
+    r.best = std::move(best_);
+  }
+  r.best_cost = cost();
+  r.proved = r.found_solution && !incomplete() &&
+             !is_interrupted(r.reason) && params_.branch == BranchRule::kBFn;
   if (params_.certify) {
-    params_.certify->finish(found, best, cost, proved, stats.expanded,
-                            stats.generated);
+    params_.certify->finish(r.found_solution, r.best, r.best_cost, r.proved,
+                            r.stats.expanded, r.stats.generated);
   }
-  return proved;
+  // Optimality-gap certificate (see SearchResult::certified_lower_bound).
+  // F may prune vertices whose completions are cheap-but-invalid, so a
+  // characteristic function voids the certificate.
+  if (params_.branch == BranchRule::kBFn && !params_.characteristic) {
+    const Time floor = std::min(
+        {prune_threshold(r.best_cost, params_.br), open_floor, lost_floor()});
+    r.certified_lower_bound = std::min(floor, r.best_cost);
+  }
+  return r;
 }
 
 }  // namespace parabb

@@ -3,8 +3,10 @@
 //
 // One SearchGovernor per solve owns
 //
-//  * the initial incumbent U: EDF, explicit or +inf (§3.4), or the resume
-//    snapshot's incumbent;
+//  * the incumbent U (Figure 1): its cost in an atomic every prune reads,
+//    and its schedule under a mutex. It starts as EDF, explicit or +inf
+//    (§3.4), or the resume snapshot's incumbent, and only offer() improves
+//    it;
 //  * the stop reason. Each cause has one check — the generated cap, the
 //    memory cliff, cancellation (token or injected) and the wall clock
 //    with injected skew — and the first cause wins;
@@ -16,18 +18,20 @@
 //    lost part of the tree, and the least bound lost;
 //  * checkpoint export and resume seeding (ckpt/snapshot.hpp), all but the
 //    frontier itself;
-//  * the finish: the proof flag, the certificate, and the table counters
-//    folded into the stats.
+//  * the finish: the SearchResult both engines return, with the proof
+//    flag, the gap floor, the certificate and the table counters.
 //
 // Each engine keeps what differs: its poll cadence (when it calls which
-// check), its frontier, and how its workers read the ladder. solve_bnb
-// copies the view into locals after a poll; the parallel workers load it
-// per expansion, which is why the view is atomic.
+// check), its frontier, and how its workers read the ladder and the
+// incumbent cost. solve_bnb copies them into locals; the parallel workers
+// load them per expansion, which is why they are atomic. An engine hands
+// the governor only its frontier, next_seq and stats.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "parabb/bnb/engine.hpp"
@@ -43,19 +47,21 @@ namespace parabb {
 class SearchGovernor {
  public:
   /// Runs U, opens the certificate, and on a resume seeds everything but
-  /// the frontier from params.resume. `engine` tags snapshots and says
-  /// whether workers probe the table concurrently; `child_cap` is the
-  /// engine's MAXSZDB before any rung tightens it.
+  /// the frontier from params.resume. `engine` tags snapshots;
+  /// `child_cap` is the engine's MAXSZDB before any rung tightens it.
   SearchGovernor(const SchedContext& ctx, const Params& params,
                  SnapshotEngine engine, int child_cap);
   SearchGovernor(const SearchGovernor&) = delete;
   SearchGovernor& operator=(const SearchGovernor&) = delete;
 
-  // --- initial incumbent and accounting ---------------------------------
-  Time initial_cost() const noexcept { return initial_cost_; }
-  bool initial_found() const noexcept { return initial_found_; }
-  /// The U schedule (EDF or resumed); engines move it out.
-  Schedule& initial_best() noexcept { return initial_best_; }
+  // --- incumbent and accounting -------------------------------------------
+  /// The incumbent cost U; kTimeInf while there is none.
+  Time cost() const noexcept { return cost_.load(std::memory_order_relaxed); }
+  /// Offers the complete schedule `state` of cost `cost`. Only an
+  /// improvement is taken: it replaces the incumbent, counts a goal update
+  /// and records the incumbent flight event. Returns whether it improved.
+  bool offer(Time cost, const PartialSchedule& state, SearchStats& stats,
+             SearchObs& so);
   /// Counters a resumed run carries over (zero otherwise), seconds
   /// excluded; the table counters are the snapshot's.
   const SearchStats& base_stats() const noexcept { return base_; }
@@ -139,12 +145,11 @@ class SearchGovernor {
   // --- checkpoint and resume ----------------------------------------------
   bool checkpoint_due() const noexcept;
   /// Writes a snapshot of `frontier` and everything the governor owns,
-  /// with the engine's `stats` and incumbent; a failed write is counted
-  /// and survived. Returns true when the controller asked the search to
-  /// stop after this write (the SIGTERM path), and then stops it.
+  /// the incumbent included, with the engine's `stats`; a failed write is
+  /// counted and survived. Returns true when the controller asked the
+  /// search to stop after this write (the SIGTERM path), and then stops it.
   bool write_checkpoint(std::vector<SnapshotVertex> frontier,
                         std::uint32_t next_seq, const SearchStats& stats,
-                        bool found, Time cost, const Schedule& best,
                         SearchObs& so);
 
   /// Replays the resume snapshot's frontier: `store(state, lb, seq)` once
@@ -162,10 +167,12 @@ class SearchGovernor {
   }
 
   // --- finish -------------------------------------------------------------
-  /// Folds the table counters and the accumulated seconds into `stats`,
-  /// decides the proof flag and closes the certificate. Returns proved.
-  bool finish(bool found, const Schedule& best, Time cost,
-              SearchStats& stats);
+  /// The run's result: the incumbent (moved out), the stop reason, and
+  /// `stats` with the table counters and the accumulated seconds folded
+  /// in. Decides the proof flag, closes the certificate and floors the gap
+  /// certificate at `open_floor`, the least bound still open (kTimeInf
+  /// when none is; kTimeNegInf from an engine that tracks none).
+  SearchResult finish(const SearchStats& stats, Time open_floor);
 
  private:
   void resume_from(const SearchSnapshot& snap);
@@ -178,9 +185,10 @@ class SearchGovernor {
   double resume_seconds_ = 0.0;
   std::uint64_t instance_ = 0;  ///< fingerprint; set with ckpt or resume
 
-  Time initial_cost_ = kTimeInf;
-  bool initial_found_ = false;
-  Schedule initial_best_;
+  std::atomic<Time> cost_{kTimeInf};
+  std::mutex best_mutex_;  ///< guards found_ and best_
+  bool found_ = false;
+  Schedule best_;
   SearchStats base_;
 
   std::atomic<bool> stop_{false};
@@ -192,9 +200,8 @@ class SearchGovernor {
   std::atomic<BranchRule> branch_;
   std::atomic<SelectRule> select_;
   std::atomic<int> max_children_;
-  std::unique_ptr<TranspositionTable> tt_;
+  std::unique_ptr<TranspositionTable> tt_;  ///< lives to the finish
   std::atomic<TranspositionTable*> table_{nullptr};
-  TranspositionCounters shed_counters_{};  ///< the table's at the shed
 
   std::atomic<bool> incomplete_{false};
   std::atomic<Time> floor_{kTimeInf};

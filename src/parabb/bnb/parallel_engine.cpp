@@ -30,19 +30,13 @@ struct WorkItem {
   Time lb = 0;
 };
 
-/// Shared search state. The incumbent cost is mirrored in an atomic so the
-/// per-vertex bound test never takes a lock. Stop reasons, the ladder and
-/// the table live in the governor (bnb/governor.hpp), whose view every
-/// worker loads per expansion.
+/// Shared search state. The incumbent, stop reasons, the ladder and the
+/// table live in the governor (bnb/governor.hpp), whose atomic view every
+/// worker loads per expansion, so the bound test never takes a lock.
 struct Shared {
   const SchedContext& ctx;
   const Params& params;
   SearchGovernor& gov;
-
-  std::atomic<Time> incumbent{kTimeInf};
-  std::mutex best_mutex;
-  PartialSchedule best_state;
-  bool found = false;
 
   /// Generated vertices across all workers, for RB.max_generated. One
   /// relaxed add per expansion (batched), invisible next to expansion cost.
@@ -124,10 +118,7 @@ struct Shared {
     gov.over_memory(total);
   }
 
-  Time threshold() const {
-    return prune_threshold(incumbent.load(std::memory_order_relaxed),
-                           params.br);
-  }
+  Time threshold() const { return prune_threshold(gov.cost(), params.br); }
 
   /// The per-vertex stop poll: a raised stop, cancellation, or the
   /// generated budget.
@@ -135,18 +126,6 @@ struct Shared {
     if (gov.stopped()) return true;
     const std::uint64_t gen = generated.load(std::memory_order_relaxed);
     return gov.cancelled(gen) || gov.over_generated(gen);
-  }
-
-  void offer_goal(const PartialSchedule& state, Time cost,
-                  SearchStats& stats, SearchObs& so) {
-    if (cost >= incumbent.load(std::memory_order_relaxed)) return;
-    const std::lock_guard lock(best_mutex);
-    if (cost >= incumbent.load(std::memory_order_relaxed)) return;
-    incumbent.store(cost, std::memory_order_relaxed);
-    best_state = state;
-    found = true;
-    ++stats.goal_updates;
-    so.incumbent(ctx.task_count(), cost);
   }
 };
 
@@ -169,11 +148,11 @@ void expand(Shared& sh, IncrementalLB& inc, PartialSchedule& scratch,
       sh.ctx, sh.params, inc, scratch, sh.gov.branch(), sh.gov.max_children(),
       sh.threshold(), sh.gov.table(), stats, so,
       [&](TaskId t, ProcId p, Time cost) {
-        // offer_goal's own first test: only a goal that beats the
-        // incumbent is placed and offered.
-        if (cost < sh.incumbent.load(std::memory_order_relaxed)) {
+        // offer's own first test: only a goal that beats the incumbent is
+        // placed and offered.
+        if (cost < sh.gov.cost()) {
           inc.place(scratch, t, p);
-          sh.offer_goal(scratch, cost, stats, so);
+          sh.gov.offer(cost, scratch, stats, so);
           inc.unplace(scratch, t);
         }
       },
@@ -520,23 +499,18 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
 ParallelResult solve_bnb_parallel(const SchedContext& ctx,
                                   const ParallelParams& pp) {
   PARABB_REQUIRE(pp.base.rb.max_children >= 1, "MAXSZDB must be >= 1");
-  ParallelResult result;
 
   int threads = pp.threads;
   if (threads <= 0) {
     threads =
         static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }
-  result.threads_used = threads;
 
   // U, the certificate, the table, and on a resume everything but the
   // frontier (bnb/governor.hpp).
   SearchGovernor gov(ctx, pp.base, SnapshotEngine::kParallel,
                      pp.base.rb.max_children);
   Shared sh(ctx, pp.base, gov, threads);
-  sh.incumbent.store(gov.initial_cost());
-  result.found_solution = gov.initial_found();
-  Schedule initial_best = std::move(gov.initial_best());
   // Accounting carried over from a resumed snapshot (zero otherwise). The
   // generated budget keeps counting across restarts, and fault injection
   // points stay aligned with the uninterrupted run.
@@ -609,6 +583,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
   }
   seed_so.flush(seed_stats);
 
+  SearchStats stats;
   std::uint64_t leftover_disposed = 0;
   if (!seeds.empty()) {
     std::vector<SearchStats> per_thread(static_cast<std::size_t>(threads));
@@ -631,19 +606,6 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
     // complete frontier. Returns true when the write was the SIGTERM
     // path's last act.
     const auto ckpt_serialize = [&]() {
-      bool found = result.found_solution;  // the EDF (or resumed) seed
-      const Schedule* best = &initial_best;
-      Schedule found_best;
-      Time cost = kTimeInf;
-      {
-        const std::lock_guard lock(sh.best_mutex);
-        cost = sh.incumbent.load(std::memory_order_relaxed);
-        if (sh.found) {
-          found_best = Schedule::from_partial(ctx, sh.best_state);
-          best = &found_best;
-          found = true;
-        }
-      }
       const std::uint64_t epoch =
           sh.ckpt_epoch.load(std::memory_order_relaxed);
       SearchStats agg = resume_base;
@@ -658,8 +620,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
               SnapshotVertex{placement_path(ctx, w.state), w.lb, seq++});
         }
       }
-      return gov.write_checkpoint(std::move(frontier), seq, agg, found, cost,
-                                  *best, seed_so);
+      return gov.write_checkpoint(std::move(frontier), seq, agg, seed_so);
     };
 
     // Quiesce barrier: bump the epoch, wait for every live worker to dump
@@ -733,26 +694,16 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
       while (d->pop_bottom(n)) ++leftover_disposed;
     }
     PARABB_ASSERT(gov.stopped() || leftover_disposed == 0);
-    for (const SearchStats& s : per_thread) {
-      merge_search_stats(result.stats, s);
-    }
+    for (const SearchStats& s : per_thread) merge_search_stats(stats, s);
   }
-  merge_search_stats(result.stats, seed_stats);
-  merge_search_stats(result.stats, resume_base);
+  merge_search_stats(stats, seed_stats);
+  merge_search_stats(stats, resume_base);
   // Vertices an early stop abandoned in the deques were disposed of, the
   // same way worker-local leftovers are counted inside the worker loop.
-  result.stats.disposed += leftover_disposed;
+  stats.disposed += leftover_disposed;
 
-  result.reason = gov.reason();
-  result.best_cost = sh.incumbent.load();
-  if (sh.found) {
-    result.found_solution = true;
-    result.best = Schedule::from_partial(ctx, sh.best_state);
-  } else if (result.found_solution) {
-    result.best = std::move(initial_best);  // the EDF seed stands
-  }
-  result.proved = gov.finish(result.found_solution, result.best,
-                             result.best_cost, result.stats);
+  // The deques track no least bound, so the gap floor stays at -inf.
+  ParallelResult result{gov.finish(stats, kTimeNegInf), threads};
   // Workers and the seed phase flushed their own counters; publish the
   // remainder that only exists post-merge (leftovers disposed by an early
   // stop, shared-table totals). The table totals include a resumed run's

@@ -1,8 +1,9 @@
 // Parallel branch-and-bound (extension; DESIGN.md item 8).
 //
 // Workers share one search semantics with the sequential engine: every
-// expansion goes through the same child loop (bnb/expand.hpp), against a
-// shared atomic incumbent and a shared lock-striped transposition table.
+// expansion goes through the same child loop (bnb/expand.hpp), against the
+// governor's incumbent, whose cost every prune reads from an atomic, and a
+// shared lock-striped transposition table.
 //
 // Vertices are distributed by work stealing: each worker owns a
 // Chase-Lev deque (support/ws_deque.hpp). The owner pushes and pops
@@ -24,12 +25,13 @@
 // searched vertices varies run-to-run because incumbent improvements
 // propagate asynchronously.
 //
-// Stop reasons, the degradation ladder, checkpoint export and resume
-// seeding are the search governor's (bnb/governor.hpp), shared with
-// solve_bnb; this engine keeps its cadence. Cancellation and the generated
-// budget are polled per expanded vertex; the ladder and the memory cliff
-// at each worker's 256-expansion flush; the time limit and the checkpoint
-// quiesce by a supervisor on the calling thread.
+// The incumbent, stop reasons, the degradation ladder, checkpoint export,
+// resume seeding and the result are the search governor's
+// (bnb/governor.hpp), shared with solve_bnb; this engine keeps its
+// frontier and its cadence. Cancellation and the generated budget are
+// polled per expanded vertex; the ladder and the memory cliff at each
+// worker's 256-expansion flush; the time limit and the checkpoint quiesce
+// by a supervisor on the calling thread.
 #pragma once
 
 #include "parabb/bnb/engine.hpp"
@@ -53,13 +55,11 @@ struct ParallelParams {
   int threads = 0;  ///< 0 = hardware concurrency
 };
 
-struct ParallelResult {
-  bool found_solution = false;
-  Schedule best;
-  Time best_cost = kTimeInf;
-  bool proved = false;
-  TerminationReason reason = TerminationReason::kExhausted;
-  SearchStats stats;  ///< merged across workers (peaks are approximate sums)
+/// The sequential engine's result, built by the same governor. `stats` are
+/// merged across workers (the peaks are approximate sums), and
+/// `certified_lower_bound` stays kTimeNegInf: the deques track no least
+/// open bound.
+struct ParallelResult : SearchResult {
   int threads_used = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "parabb/bnb/params.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace parabb {
 
@@ -46,6 +47,29 @@ std::string to_string(UpperBoundInit u) {
     case UpperBoundInit::kExplicit: return "explicit";
   }
   return "?";
+}
+
+SelectRule parse_select_rule(const std::string& s) {
+  if (s == "lifo") return SelectRule::kLIFO;
+  if (s == "llb") return SelectRule::kLLB;
+  if (s == "fifo") return SelectRule::kFIFO;
+  throw std::runtime_error("select must be lifo, llb or fifo (got '" + s +
+                           "')");
+}
+
+BranchRule parse_branch_rule(const std::string& s) {
+  if (s == "bfn") return BranchRule::kBFn;
+  if (s == "bf1") return BranchRule::kBF1;
+  if (s == "df") return BranchRule::kDF;
+  throw std::runtime_error("branch must be bfn, bf1 or df (got '" + s +
+                           "')");
+}
+
+LowerBound parse_lower_bound(const std::string& s) {
+  if (s == "lb0") return LowerBound::kLB0;
+  if (s == "lb1") return LowerBound::kLB1;
+  if (s == "lb2") return LowerBound::kLB2;
+  throw std::runtime_error("lb must be lb0, lb1 or lb2 (got '" + s + "')");
 }
 
 std::string describe(const Params& p) {

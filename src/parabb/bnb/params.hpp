@@ -150,7 +150,7 @@ struct Params {
   const Observation* observe = nullptr;
 
   /// Graceful-degradation ladder (robust/degrade.hpp): as the vertex-pool
-  /// footprint crosses configurable high-water fractions of
+  /// footprint crosses fixed high-water fractions of
   /// rb.max_memory_bytes, the engines shed the transposition table,
   /// tighten the effective MAXSZDB, and step the branching rule down
   /// BFn -> BF1 -> DF before resorting to disposal or the budget cliff.
@@ -197,6 +197,13 @@ std::string to_string(BranchRule b);
 std::string to_string(ElimRule e);
 std::string to_string(LowerBound l);
 std::string to_string(UpperBoundInit u);
+
+/// The lower-case spellings of S, B and L ("lifo", "bfn", "lb1") that the
+/// CLI, the service protocol and experiment specs share. Each throws
+/// std::runtime_error on an unknown spelling.
+SelectRule parse_select_rule(const std::string& s);
+BranchRule parse_branch_rule(const std::string& s);
+LowerBound parse_lower_bound(const std::string& s);
 
 /// One-line summary "B=BFn S=LIFO E=U/DBAS L=LB1 U=EDF BR=0%".
 std::string describe(const Params& p);

@@ -7,28 +7,6 @@
 
 namespace parabb {
 
-const std::array<SearchStatsField, kSearchStatsFieldCount>
-    kSearchStatsFields = {{
-        {"expanded", &SearchStats::expanded},
-        {"generated", &SearchStats::generated},
-        {"activated", &SearchStats::activated},
-        {"goals", &SearchStats::goals},
-        {"goal_updates", &SearchStats::goal_updates},
-        {"pruned_children", &SearchStats::pruned_children},
-        {"pruned_active", &SearchStats::pruned_active},
-        {"disposed", &SearchStats::disposed},
-        {"tt_hits", &SearchStats::tt_hits},
-        {"tt_misses", &SearchStats::tt_misses},
-        {"tt_evictions", &SearchStats::tt_evictions},
-        {"tt_collisions", &SearchStats::tt_collisions},
-        {"steals_attempted", &SearchStats::steals_attempted,
-         "parabb_steals_attempted_total"},
-        {"steals_succeeded", &SearchStats::steals_succeeded,
-         "parabb_steals_succeeded_total"},
-        {"degrade_steps", &SearchStats::degrade_steps,
-         "parabb_degrade_steps_total"},
-    }};
-
 void merge_search_stats(SearchStats& into, const SearchStats& from) {
   std::array<std::uint64_t, kSearchStatsFieldCount + 2> dst;
   std::array<std::uint64_t, kSearchStatsFieldCount + 2> src;

@@ -1,10 +1,7 @@
 // Bridge between the engines' plain SearchStats counters and the obs
-// subsystem. Three responsibilities, all driven by one field table:
+// subsystem. Two responsibilities, both driven by the field table beside
+// SearchStats (kSearchStatsFields, bnb/engine.hpp):
 //
-//  * kSearchStatsFields names every uint64 counter of SearchStats once;
-//    metric names, stats-JSON rows, and the merge below all derive from
-//    it, so a new counter added to SearchStats is wired everywhere by
-//    adding one table row.
 //  * merge_search_stats is THE stats reduction: the parallel engine's
 //    per-worker merge and any future reducer go through the registry's
 //    accumulate() kernel (counters summed; worker peaks summed, which is
@@ -31,20 +28,6 @@ namespace parabb {
 
 class Counter;
 class Gauge;
-
-struct SearchStatsField {
-  const char* name;  ///< short name ("expanded"); metric is
-                     ///< parabb_search_<name>_total unless overridden
-  std::uint64_t SearchStats::*member;
-  /// Full metric name override (null -> parabb_search_<name>_total). The
-  /// steal counters use it: their published names are
-  /// parabb_steals_*_total, not parabb_search_steals_*_total.
-  const char* metric = nullptr;
-};
-
-inline constexpr std::size_t kSearchStatsFieldCount = 15;
-extern const std::array<SearchStatsField, kSearchStatsFieldCount>
-    kSearchStatsFields;
 
 /// Sums `from` into `into` through obs accumulate(): the uint64 counters
 /// of the field table plus the two peak fields (summed across workers —

@@ -16,7 +16,8 @@ struct TranspositionTable::Shard {
   // engines build a table per solve and short searches must not pay for
   // it. lbs/states are uninitialized until their slot is claimed
   // (PartialSchedule is an implicit-lifetime type: trivial copy
-  // constructor and destructor).
+  // constructor and destructor). release() frees all three; fps is null
+  // from then on.
   std::unique_ptr<std::uint64_t[]> fps;
   std::unique_ptr<Time[]> lbs;
   std::unique_ptr<std::byte[]> state_storage;
@@ -68,13 +69,19 @@ TranspositionTable::Shard& TranspositionTable::shard_for(
   return shards_[static_cast<std::size_t>(fp & shard_mask_)];
 }
 
-bool TranspositionTable::seen_or_insert(std::uint64_t fp,
-                                        const PartialSchedule& state,
-                                        Time lb) {
+template <bool kCounted>
+bool TranspositionTable::probe(std::uint64_t fp, const PartialSchedule& state,
+                               Time lb) {
   fp = desentinel(fp);
   Shard& shard = shard_for(fp);
   const std::lock_guard lock(shard.mutex);
-  ++shard.counters.probes;
+  TranspositionCounters uncounted;
+  TranspositionCounters& counters = kCounted ? shard.counters : uncounted;
+  ++counters.probes;
+  if (!shard.fps) {  // released
+    ++counters.misses;
+    return false;
+  }
 
   // The shard index consumed the low bits; pick the bucket from the high
   // ones so the two choices stay independent. Aligning the window to a
@@ -95,27 +102,27 @@ bool TranspositionTable::seen_or_insert(std::uint64_t fp,
     if (slot_fp == fp) {
       if (shard.states[idx] == state) {
         if (shard.lbs[idx] <= lb) {
-          ++shard.counters.hits;
+          ++counters.hits;
           return true;
         }
         // Re-seen with a strictly better bound: remember the improvement
         // so later duplicates are measured against the best-known bound.
         shard.lbs[idx] = lb;
-        ++shard.counters.misses;
+        ++counters.misses;
         return false;
       }
-      ++shard.counters.collisions;  // 64-bit collision: equality saved us
+      ++counters.collisions;  // 64-bit collision: equality saved us
     }
     if (worst == kNone || shard.lbs[idx] > shard.lbs[worst]) worst = idx;
   }
 
-  ++shard.counters.misses;
+  ++counters.misses;
   if (free_slot != kNone) {
     shard.fps[free_slot] = fp;
     shard.lbs[free_slot] = lb;
     shard.states[free_slot] = state;
     ++shard.used_count;
-    ++shard.counters.inserts;
+    ++counters.inserts;
     return false;
   }
   // Bucket full: replace-if-better, keyed on the bound — promising
@@ -125,11 +132,17 @@ bool TranspositionTable::seen_or_insert(std::uint64_t fp,
     shard.fps[worst] = fp;
     shard.lbs[worst] = lb;
     shard.states[worst] = state;
-    ++shard.counters.evictions;
+    ++counters.evictions;
   } else {
-    ++shard.counters.rejected;
+    ++counters.rejected;
   }
   return false;
+}
+
+bool TranspositionTable::seen_or_insert(std::uint64_t fp,
+                                        const PartialSchedule& state,
+                                        Time lb) {
+  return probe<true>(fp, state, lb);
 }
 
 TranspositionCounters TranspositionTable::counters() const {
@@ -162,8 +175,14 @@ std::size_t TranspositionTable::capacity() const noexcept {
   return static_cast<std::size_t>(shard_count_) * slots_per_shard_;
 }
 
-std::size_t TranspositionTable::memory_bytes() const noexcept {
-  return capacity() * kBytesPerSlot;
+std::size_t TranspositionTable::memory_bytes() const {
+  std::size_t slots = 0;
+  for (int s = 0; s < shard_count_; ++s) {
+    const Shard& shard = shards_[static_cast<std::size_t>(s)];
+    const std::lock_guard lock(shard.mutex);
+    if (shard.fps) slots += slots_per_shard_;
+  }
+  return slots * kBytesPerSlot;
 }
 
 void TranspositionTable::for_each_entry(
@@ -171,44 +190,14 @@ void TranspositionTable::for_each_entry(
   for (int s = 0; s < shard_count_; ++s) {
     const Shard& shard = shards_[static_cast<std::size_t>(s)];
     const std::lock_guard lock(shard.mutex);
+    if (!shard.fps) continue;  // released
     for (std::size_t i = 0; i < slots_per_shard_; ++i)
       if (shard.fps[i] != 0) fn(shard.states[i], shard.lbs[i]);
   }
 }
 
 void TranspositionTable::preload(const PartialSchedule& state, Time lb) {
-  const std::uint64_t fp = desentinel(state.fingerprint());
-  Shard& shard = shard_for(fp);
-  const std::lock_guard lock(shard.mutex);
-  const std::size_t slot_mask = slots_per_shard_ - 1;
-  const std::size_t base =
-      (static_cast<std::size_t>(fp >> 10) & slot_mask) & ~(kProbeWindow - 1);
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t free_slot = kNone;
-  std::size_t worst = kNone;
-  for (std::size_t i = 0; i < kProbeWindow; ++i) {
-    const std::size_t idx = base + i;
-    const std::uint64_t slot_fp = shard.fps[idx];
-    if (slot_fp == 0) {
-      if (free_slot == kNone) free_slot = idx;
-      continue;
-    }
-    if (slot_fp == fp && shard.states[idx] == state) {
-      if (lb < shard.lbs[idx]) shard.lbs[idx] = lb;
-      return;
-    }
-    if (worst == kNone || shard.lbs[idx] > shard.lbs[worst]) worst = idx;
-  }
-  if (free_slot != kNone) {
-    shard.fps[free_slot] = fp;
-    shard.lbs[free_slot] = lb;
-    shard.states[free_slot] = state;
-    ++shard.used_count;
-  } else if (worst != kNone && lb < shard.lbs[worst]) {
-    shard.fps[worst] = fp;
-    shard.lbs[worst] = lb;
-    shard.states[worst] = state;
-  }
+  probe<false>(state.fingerprint(), state, lb);
 }
 
 void TranspositionTable::add_counters(const TranspositionCounters& prior) {
@@ -223,12 +212,14 @@ void TranspositionTable::add_counters(const TranspositionCounters& prior) {
   shard.counters.collisions += prior.collisions;
 }
 
-void TranspositionTable::clear() {
+void TranspositionTable::release() {
   for (int s = 0; s < shard_count_; ++s) {
     Shard& shard = shards_[static_cast<std::size_t>(s)];
     const std::lock_guard lock(shard.mutex);
-    std::fill(shard.fps.get(), shard.fps.get() + slots_per_shard_,
-              std::uint64_t{0});
+    shard.fps.reset();
+    shard.lbs.reset();
+    shard.state_storage.reset();
+    shard.states = nullptr;
     shard.used_count = 0;
   }
 }

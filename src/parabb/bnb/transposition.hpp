@@ -89,13 +89,16 @@ class TranspositionTable {
 
   std::size_t capacity() const noexcept;
 
-  /// Fixed allocation footprint of the slot arrays.
-  std::size_t memory_bytes() const noexcept;
+  /// Allocation footprint of the slot arrays still held (takes shard
+  /// locks); fixed until release().
+  std::size_t memory_bytes() const;
 
   int shard_count() const noexcept { return shard_count_; }
 
-  /// Drops every entry (counters keep accumulating).
-  void clear();
+  /// Frees every shard's slot arrays, each under its shard's lock, so a
+  /// racing prober stays safe. The counters live on; a later probe counts
+  /// a probe and a miss and stores nothing.
+  void release();
 
   /// Checkpoint export (ckpt/snapshot.hpp): visits every live entry, one
   /// shard at a time under that shard's lock. Entries inserted or evicted
@@ -125,6 +128,9 @@ class TranspositionTable {
   static_assert(std::is_trivially_copyable_v<PartialSchedule>);
 
   Shard& shard_for(std::uint64_t fp) const noexcept;
+  /// seen_or_insert's probe; preload runs it with kCounted off.
+  template <bool kCounted>
+  bool probe(std::uint64_t fp, const PartialSchedule& state, Time lb);
 
   std::unique_ptr<Shard[]> shards_;
   int shard_count_ = 1;

@@ -108,22 +108,9 @@ std::vector<CutPlacement> read_path(Reader& r) {
   return path;
 }
 
+// The counters in field-table order, then the two peaks and the seconds.
 void write_stats(Writer& w, const SearchStats& s) {
-  w.u64(s.expanded);
-  w.u64(s.generated);
-  w.u64(s.activated);
-  w.u64(s.goals);
-  w.u64(s.goal_updates);
-  w.u64(s.pruned_children);
-  w.u64(s.pruned_active);
-  w.u64(s.disposed);
-  w.u64(s.tt_hits);
-  w.u64(s.tt_misses);
-  w.u64(s.tt_evictions);
-  w.u64(s.tt_collisions);
-  w.u64(s.steals_attempted);
-  w.u64(s.steals_succeeded);
-  w.u64(s.degrade_steps);
+  for (const SearchStatsField& f : kSearchStatsFields) w.u64(s.*f.member);
   w.u64(s.peak_active);
   w.u64(s.peak_memory_bytes);
   w.f64(s.seconds);
@@ -131,21 +118,7 @@ void write_stats(Writer& w, const SearchStats& s) {
 
 SearchStats read_stats(Reader& r) {
   SearchStats s;
-  s.expanded = r.u64();
-  s.generated = r.u64();
-  s.activated = r.u64();
-  s.goals = r.u64();
-  s.goal_updates = r.u64();
-  s.pruned_children = r.u64();
-  s.pruned_active = r.u64();
-  s.disposed = r.u64();
-  s.tt_hits = r.u64();
-  s.tt_misses = r.u64();
-  s.tt_evictions = r.u64();
-  s.tt_collisions = r.u64();
-  s.steals_attempted = r.u64();
-  s.steals_succeeded = r.u64();
-  s.degrade_steps = r.u64();
+  for (const SearchStatsField& f : kSearchStatsFields) s.*f.member = r.u64();
   s.peak_active = static_cast<std::size_t>(r.u64());
   s.peak_memory_bytes = static_cast<std::size_t>(r.u64());
   s.seconds = r.f64();

@@ -51,6 +51,17 @@ long long to_int(const std::string& v, int line) {
   }
 }
 
+/// One of the shared S, B and L spelling parsers (bnb/params.hpp), its
+/// error tagged with the spec line.
+template <class Parse>
+auto parse_rule(Parse parse, const std::string& v, int line) {
+  try {
+    return parse(v);
+  } catch (const std::runtime_error& e) {
+    fail(line, e.what());
+  }
+}
+
 /// "lo..hi" or a single value.
 std::pair<int, int> to_range(const std::string& v, int line) {
   const auto dots = v.find("..");
@@ -95,20 +106,11 @@ AlgorithmVariant parse_bnb_variant(
     if (key == "label") {
       v.label = value;
     } else if (key == "select") {
-      if (value == "lifo") v.params.select = SelectRule::kLIFO;
-      else if (value == "llb") v.params.select = SelectRule::kLLB;
-      else if (value == "fifo") v.params.select = SelectRule::kFIFO;
-      else fail(line, "bad select: " + value);
+      v.params.select = parse_rule(parse_select_rule, value, line);
     } else if (key == "branch") {
-      if (value == "bfn") v.params.branch = BranchRule::kBFn;
-      else if (value == "bf1") v.params.branch = BranchRule::kBF1;
-      else if (value == "df") v.params.branch = BranchRule::kDF;
-      else fail(line, "bad branch: " + value);
+      v.params.branch = parse_rule(parse_branch_rule, value, line);
     } else if (key == "lb") {
-      if (value == "lb0") v.params.lb = LowerBound::kLB0;
-      else if (value == "lb1") v.params.lb = LowerBound::kLB1;
-      else if (value == "lb2") v.params.lb = LowerBound::kLB2;
-      else fail(line, "bad lb: " + value);
+      v.params.lb = parse_rule(parse_lower_bound, value, line);
     } else if (key == "ub") {
       if (value == "edf") {
         v.params.ub = UpperBoundInit::kFromEDF;

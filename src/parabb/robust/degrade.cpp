@@ -1,9 +1,24 @@
 #include "parabb/robust/degrade.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace parabb {
+
+namespace {
+
+/// The ladder: each rung fires once memory use reaches its fraction of the
+/// budget, in this order.
+constexpr DegradeSchedule::Rung kLadder[] = {
+    {0.55, DegradeAction::kShedTT},
+    {0.70, DegradeAction::kTightenDB},
+    {0.80, DegradeAction::kBF1},
+    {0.90, DegradeAction::kDF},
+};
+
+/// Children per processor the kTightenDB rung leaves an expansion.
+constexpr int kTightenedChildrenPerProc = 2;
+
+}  // namespace
 
 std::string to_string(DegradeAction a) {
   switch (a) {
@@ -24,30 +39,18 @@ bool parse_degrade_action(std::string_view text, DegradeAction& out) {
 }
 
 std::string DegradeConfig::describe() const {
-  if (!enabled) return "degrade=off";
-  std::ostringstream out;
-  out << "degrade=on shed_tt=" << shed_tt_frac
-      << " tighten_db=" << tighten_db_frac << " bf1=" << bf1_frac
-      << " df=" << df_frac << " db_per_proc=" << tightened_children_per_proc;
-  return out.str();
+  return enabled ? "degrade=on" : "degrade=off";
+}
+
+int tightened_child_cap(int procs) {
+  return std::max(1, procs * kTightenedChildrenPerProc);
 }
 
 DegradeSchedule DegradeSchedule::from(const DegradeConfig& cfg) {
   DegradeSchedule sched;
   if (!cfg.enabled) return sched;
-  const std::pair<double, DegradeAction> raw[] = {
-      {cfg.shed_tt_frac, DegradeAction::kShedTT},
-      {cfg.tighten_db_frac, DegradeAction::kTightenDB},
-      {cfg.bf1_frac, DegradeAction::kBF1},
-      {cfg.df_frac, DegradeAction::kDF},
-  };
-  for (const auto& [frac, action] : raw) {
-    if (frac <= 0.0 || frac > 1.0) continue;  // rung disabled
-    sched.rungs[static_cast<std::size_t>(sched.count++)] = {frac, action};
-  }
-  std::stable_sort(sched.rungs.begin(),
-                   sched.rungs.begin() + sched.count,
-                   [](const Rung& a, const Rung& b) { return a.frac < b.frac; });
+  std::copy(std::begin(kLadder), std::end(kLadder), sched.rungs.begin());
+  sched.count = static_cast<int>(std::size(kLadder));
   return sched;
 }
 

@@ -5,8 +5,9 @@
 // the engines dispose work, mark the result compromised, and stop.
 // Following Orr & Sinnen's memory-limited B&B results (PAPERS.md),
 // degrading the *strategy* under pressure preserves far more solution
-// quality than truncating the search: as memory usage crosses
-// configurable high-water fractions of the budget, the engines step down
+// quality than truncating the search: as memory usage crosses fixed
+// high-water fractions of the budget (55, 70, 80 and 90 %), the engines
+// step down
 //
 //   shed the transposition table  ->  tighten MAXSZDB  ->  BFn -> BF1  ->  DF
 //
@@ -28,7 +29,7 @@
 namespace parabb {
 
 enum class DegradeAction : std::uint8_t {
-  kShedTT,     // clear + disable the transposition table
+  kShedTT,     // disable the transposition table and free its slots
   kTightenDB,  // tighten the effective MAXSZDB child cap
   kBF1,        // BFn -> BF1 branching (one task, all processors)
   kDF,         // BF1 -> DF branching (depth-first dive)
@@ -37,24 +38,20 @@ enum class DegradeAction : std::uint8_t {
 std::string to_string(DegradeAction a);
 bool parse_degrade_action(std::string_view text, DegradeAction& out);
 
-/// Ladder configuration: each fraction is a high-water mark of the memory
-/// budget at which the corresponding action fires. Fractions outside
-/// (0, 1] disable that rung.
+/// Ladder configuration. The rungs and their fractions are fixed
+/// (degrade.cpp); a run only switches the ladder on or off.
 struct DegradeConfig {
   bool enabled = false;
-  double shed_tt_frac = 0.55;
-  double tighten_db_frac = 0.70;
-  double bf1_frac = 0.80;
-  double df_frac = 0.90;
-  /// Effective MAXSZDB after kTightenDB = processors * this.
-  int tightened_children_per_proc = 2;
 
   std::string describe() const;
 };
 
-/// The config compiled into an ordered rung list. Pure value type: both
-/// engines share it — the sequential engine tracks its level in a local
-/// int, the parallel engine in a shared atomic.
+/// Effective MAXSZDB after kTightenDB on `procs` processors.
+int tightened_child_cap(int procs);
+
+/// The config compiled into an ordered rung list: all four rungs, or none
+/// while the ladder is off. Pure value type; the search governor tracks
+/// the level reached.
 struct DegradeSchedule {
   struct Rung {
     double frac = 0.0;

@@ -33,12 +33,6 @@ struct MetricsSnapshot;  // obs/metrics.hpp
 /// smaller and an oversized line is a protocol error, not a big job.
 inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
-/// Shared CLI/protocol spelling parsers (throw std::runtime_error on an
-/// unknown spelling; used by parabb_solve and the JSONL protocol alike).
-SelectRule parse_select_rule(const std::string& s);
-BranchRule parse_branch_rule(const std::string& s);
-LowerBound parse_lower_bound(const std::string& s);
-
 /// Builds a Machine from the protocol/CLI spelling: `topology` is
 /// "bus" | "ring" | "line" | "mesh<R>x<C>" (mesh overrides `procs`).
 Machine machine_from_spec(int procs, Time comm_per_item,

@@ -271,27 +271,22 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
 
     Stopwatch watch;
     ScopedSpan search_span(config_.spans, "search", req.id);
+    SearchResult r;
     if (req.threads > 1) {
       ParallelParams pp;
       pp.base = params;
       pp.threads = req.threads;
-      const ParallelResult r = solve_bnb_parallel(ctx, pp);
-      out.found = r.found_solution;
-      out.schedule = r.best;
-      out.cost = r.best_cost;
-      out.proved = r.proved;
-      out.reason = r.reason;
-      out.generated = r.stats.generated;
+      r = solve_bnb_parallel(ctx, pp);
     } else {
-      const SearchResult r = solve_bnb(ctx, params);
-      out.found = r.found_solution;
-      out.schedule = r.best;
-      out.cost = r.best_cost;
-      out.proved = r.proved;
-      out.certified_lower_bound = r.certified_lower_bound;
-      out.reason = r.reason;
-      out.generated = r.stats.generated;
+      r = solve_bnb(ctx, params);
     }
+    out.found = r.found_solution;
+    out.schedule = std::move(r.best);
+    out.cost = r.best_cost;
+    out.proved = r.proved;
+    out.certified_lower_bound = r.certified_lower_bound;
+    out.reason = r.reason;
+    out.generated = r.stats.generated;
     search_span.finish();
     out.seconds = watch.seconds();
     out.outcome = outcome_of(out.reason, out.found);

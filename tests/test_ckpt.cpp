@@ -101,6 +101,19 @@ TEST(Snapshot, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.incumbent_cost, snap.incumbent_cost);
   EXPECT_EQ(back.frontier.size(), snap.frontier.size());
   EXPECT_EQ(back.stats.generated, snap.stats.generated);
+
+  // Every counter of the field table travels, each to its own field.
+  SearchSnapshot numbered = snap;
+  std::uint64_t next = 1;
+  for (const SearchStatsField& f : kSearchStatsFields) {
+    numbered.stats.*f.member = next++;
+  }
+  const SearchSnapshot numbered_back =
+      decode_snapshot(encode_snapshot(numbered));
+  for (const SearchStatsField& f : kSearchStatsFields) {
+    EXPECT_EQ(numbered_back.stats.*f.member, numbered.stats.*f.member)
+        << f.name;
+  }
 }
 
 TEST(Snapshot, CorruptionIsRejectedNeverACrash) {

@@ -361,13 +361,7 @@ std::string ledger_line(const Config& cfg, const test::LedgerInstance& inst,
     ParallelParams pp;
     pp.base = p;
     pp.threads = 1;
-    const ParallelResult pr = solve_bnb_parallel(ctx, pp);
-    r.found_solution = pr.found_solution;
-    r.best = pr.best;
-    r.best_cost = pr.best_cost;
-    r.proved = pr.proved;
-    r.reason = pr.reason;
-    r.stats = pr.stats;
+    r = solve_bnb_parallel(ctx, pp);
   } else {
     r = solve_bnb(ctx, p);
   }

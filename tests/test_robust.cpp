@@ -125,22 +125,6 @@ TEST(DegradeSchedule, DisabledConfigHasNoRungs) {
   EXPECT_EQ(s.target_level(100, 100), 0);
 }
 
-TEST(DegradeSchedule, RungsSortedAndFiltered) {
-  DegradeConfig cfg;
-  cfg.enabled = true;
-  cfg.bf1_frac = 0.3;  // out of order on purpose
-  cfg.tighten_db_frac = -1.0;  // disabled rung
-  const DegradeSchedule s = DegradeSchedule::from(cfg);
-  ASSERT_EQ(s.count, 3);
-  EXPECT_EQ(s.rungs[0].action, DegradeAction::kBF1);
-  EXPECT_EQ(s.rungs[1].action, DegradeAction::kShedTT);
-  EXPECT_EQ(s.rungs[2].action, DegradeAction::kDF);
-  for (int i = 1; i < s.count; ++i) {
-    EXPECT_LE(s.rungs[static_cast<std::size_t>(i - 1)].frac,
-              s.rungs[static_cast<std::size_t>(i)].frac);
-  }
-}
-
 TEST(DegradeSchedule, TargetLevelMonotone) {
   DegradeConfig cfg;
   cfg.enabled = true;

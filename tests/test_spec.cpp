@@ -83,6 +83,18 @@ TEST(Spec, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(Spec, RuleSpellingErrorsCarryLineNumbers) {
+  // S, B and L go through the parsers the CLI and the service share.
+  try {
+    parse_experiment_spec("variant edf\nvariant bnb select=lifo lb=lb9\n");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "spec error at line 2: lb must be lb0, lb1 or lb2 "
+                 "(got 'lb9')");
+  }
+}
+
 TEST(Spec, RejectsBadInput) {
   EXPECT_THROW(parse_experiment_spec(""), std::runtime_error);  // no variant
   EXPECT_THROW(parse_experiment_spec("variant teleport\n"),

@@ -134,6 +134,22 @@ PartialSchedule one_move_state(const SchedContext& ctx, TaskId t, ProcId p) {
   return ps;
 }
 
+/// Every prefix of twelve seeded random placement walks.
+std::vector<PartialSchedule> walk_prefixes(const SchedContext& ctx) {
+  std::vector<PartialSchedule> states;
+  Rng rng(0xc0ffee);
+  for (int w = 0; w < 12; ++w) {
+    PartialSchedule ps = PartialSchedule::empty(ctx);
+    const auto moves = random_walk(ctx, ps, rng);
+    PartialSchedule prefix = PartialSchedule::empty(ctx);
+    for (const auto& [t, p] : moves) {
+      prefix.place(ctx, t, p);
+      states.push_back(prefix);
+    }
+  }
+  return states;
+}
+
 TEST(TranspositionTable, SecondVisitOfEqualStateIsAHit) {
   const TaskGraph g = test::independent_tasks(4);
   const SchedContext ctx = test::make_ctx(g, 2);
@@ -211,9 +227,72 @@ TEST(TranspositionTable, ClearDropsEntriesButKeepsCounters) {
   TranspositionTable tt(tiny_config());
   const PartialSchedule s = one_move_state(ctx, 0, 0);
   EXPECT_FALSE(tt.seen_or_insert(s, 1));
-  tt.clear();
+  EXPECT_GT(tt.memory_bytes(), 0u);
+  tt.release();
   EXPECT_EQ(tt.size(), 0u);
-  EXPECT_FALSE(tt.seen_or_insert(s, 1));  // re-inserted, not a hit
+  EXPECT_EQ(tt.memory_bytes(), 0u);
+  EXPECT_FALSE(tt.seen_or_insert(s, 1));  // a miss that stores nothing
+  EXPECT_EQ(tt.size(), 0u);
+  const TranspositionCounters c = tt.counters();
+  EXPECT_EQ(c.probes, 2u);
+  EXPECT_EQ(c.misses, 2u);
+  EXPECT_EQ(c.inserts, 1u);
+}
+
+TEST(TranspositionTable, ReleaseUnderRacingProbesKeepsCounting) {
+  const TaskGraph g = test::independent_tasks(6);
+  const SchedContext ctx = test::make_ctx(g, 3);
+  TranspositionTable tt(tiny_config(/*cap_bytes=*/1 << 20, /*shards=*/8));
+  const std::vector<PartialSchedule> states = walk_prefixes(ctx);
+
+  // Every prober finishes one round before the release, probes on while
+  // it lands shard by shard, and stops only after a few rounds that began
+  // once it was over.
+  constexpr int kThreads = 4;
+  constexpr int kRoundsAfter = 5;
+  std::atomic<int> warmed{0};
+  std::atomic<bool> released{false};
+  std::atomic<std::uint64_t> rounds{0};
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    pool.emplace_back([&] {
+      for (int round = 0, after = 0; after < kRoundsAfter; ++round) {
+        if (released.load()) ++after;
+        for (const PartialSchedule& s : states) tt.seen_or_insert(s, 0);
+        rounds.fetch_add(1);
+        if (round == 0) warmed.fetch_add(1);
+      }
+    });
+  }
+  while (warmed.load() < kThreads) std::this_thread::yield();
+  tt.release();
+  released.store(true);
+  for (auto& th : pool) th.join();
+
+  const TranspositionCounters c = tt.counters();
+  EXPECT_EQ(c.probes, rounds.load() * states.size());
+  EXPECT_EQ(c.hits + c.misses, c.probes);
+  // A probe on a released shard is a miss.
+  EXPECT_GE(c.misses, std::uint64_t{kThreads} * kRoundsAfter * states.size());
+  EXPECT_EQ(tt.size(), 0u);
+  EXPECT_EQ(tt.memory_bytes(), 0u);
+}
+
+TEST(TranspositionTable, PreloadStoresWithoutCounting) {
+  const TaskGraph g = test::independent_tasks(4);
+  const SchedContext ctx = test::make_ctx(g, 2);
+  TranspositionTable tt(tiny_config());
+  const PartialSchedule s = one_move_state(ctx, 0, 0);
+  tt.preload(s, 5);
+  tt.preload(s, 3);  // a better bound replaces the stored one
+  tt.preload(s, 4);  // a worse one does not
+  EXPECT_EQ(tt.size(), 1u);
+  const TranspositionCounters before = tt.counters();
+  EXPECT_EQ(before.probes, 0u);
+  EXPECT_EQ(before.inserts, 0u);
+  EXPECT_FALSE(tt.seen_or_insert(s, 2));  // 3 > 2: not a duplicate
+  EXPECT_TRUE(tt.seen_or_insert(s, 2));   // now stored at 2
   EXPECT_EQ(tt.counters().probes, 2u);
 }
 
@@ -222,20 +301,9 @@ TEST(TranspositionTable, ConcurrentProbesAreConsistent) {
   const SchedContext ctx = test::make_ctx(g, 3);
   TranspositionTable tt(tiny_config(/*cap_bytes=*/1 << 20, /*shards=*/8));
 
-  // Pre-generate a pool of states (every prefix of a few random walks);
-  // all threads then offer the whole pool at the same bound, so every
-  // probe after the first for a given state must be a hit.
-  std::vector<PartialSchedule> states;
-  Rng rng(0xc0ffee);
-  for (int w = 0; w < 12; ++w) {
-    PartialSchedule ps = PartialSchedule::empty(ctx);
-    const auto moves = random_walk(ctx, ps, rng);
-    PartialSchedule prefix = PartialSchedule::empty(ctx);
-    for (const auto& [t, p] : moves) {
-      prefix.place(ctx, t, p);
-      states.push_back(prefix);
-    }
-  }
+  // All threads offer the whole pool of states at the same bound, so
+  // every probe after the first for a given state must be a hit.
+  const std::vector<PartialSchedule> states = walk_prefixes(ctx);
 
   constexpr int kThreads = 8;
   std::atomic<std::uint64_t> pruned{0};

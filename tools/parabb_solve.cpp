@@ -294,19 +294,10 @@ int main(int argc, char** argv) {
       std::signal(SIGINT, handle_sigint);
       std::signal(SIGTERM, handle_sigterm);
 
-      bool found = false;
-      bool proved = false;
-      TerminationReason reason = TerminationReason::kExhausted;
+      SearchResult r;
       std::string engine_info;
-      SearchStats stats;
       if (algo == "bnb") {
-        const SearchResult r = solve_bnb(ctx, params);
-        found = r.found_solution;
-        proved = r.proved;
-        reason = r.reason;
-        schedule = r.best;
-        cost = r.best_cost;
-        stats = r.stats;
+        r = solve_bnb(ctx, params);
         engine_info = std::to_string(r.stats.generated) + " vertices";
       } else {
         ParallelParams pp;
@@ -314,15 +305,12 @@ int main(int argc, char** argv) {
         const auto workers = parser.get_int("workers");
         pp.threads = static_cast<int>(workers != 0 ? workers
                                                    : parser.get_int("threads"));
-        const ParallelResult r = solve_bnb_parallel(ctx, pp);
-        found = r.found_solution;
-        proved = r.proved;
-        reason = r.reason;
-        schedule = r.best;
-        cost = r.best_cost;
-        stats = r.stats;
-        engine_info = std::to_string(r.threads_used) + " threads";
+        ParallelResult pr = solve_bnb_parallel(ctx, pp);
+        engine_info = std::to_string(pr.threads_used) + " threads";
+        r = std::move(pr);
       }
+      schedule = std::move(r.best);
+      cost = r.best_cost;
       std::signal(SIGINT, SIG_DFL);
       std::signal(SIGTERM, SIG_DFL);
       g_ckpt = nullptr;
@@ -333,7 +321,7 @@ int main(int argc, char** argv) {
         save_certificate(builder.take(), graph, cert_path);
       }
 
-      const JobOutcome outcome = outcome_of(reason, found);
+      const JobOutcome outcome = outcome_of(r.reason, r.found_solution);
       // Stable exit-code taxonomy (docs/robustness.md): 0 optimal,
       // 3 feasible_timeout, 4 cancelled, 5 infeasible; 2 stays the
       // usage/runtime-error code. Scripts branch on the outcome without
@@ -343,14 +331,14 @@ int main(int argc, char** argv) {
       // run still leaves its effort record behind.
       if (const std::string sp = parser.get_string("stats-json");
           !sp.empty()) {
-        write_stats_json(sp, algo, stats, outcome, cost, proved);
+        write_stats_json(sp, algo, r.stats, outcome, cost, r.proved);
       }
-      if (!found) {
+      if (!r.found_solution) {
         std::fprintf(stderr, "no solution found (outcome: %s)\n",
                      to_string(outcome).c_str());
         return exit_code;
       }
-      status = describe(params) + (proved ? " [proved]" : " [heuristic]") +
+      status = describe(params) + (r.proved ? " [proved]" : " [heuristic]") +
                ", " + engine_info + ", outcome: " + to_string(outcome);
     } else {
       std::fprintf(stderr, "unknown --algo: %s\n", algo.c_str());

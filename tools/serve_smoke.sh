@@ -1,5 +1,5 @@
 #!/bin/sh
-# Golden smoke test for parabb_serve: pipes the 50-request JSONL batch
+# Golden smoke test for parabb_serve: pipes the 51-request JSONL batch
 # through the service (single worker, so cache-hit flags and response
 # sets are deterministic) and diffs against the checked-in golden file.
 #
