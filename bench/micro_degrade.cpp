@@ -56,7 +56,7 @@ SearchResult run_capped(const SchedContext& ctx, std::uint64_t budget,
   p.ub = UpperBoundInit::kInfinite;
   p.rb.max_generated = budget;
   if (cap != 0) p.rb.max_memory_bytes = cap;
-  p.degrade.enabled = ladder;
+  p.degrade = ladder;
   return solve_bnb(ctx, p);
 }
 
@@ -171,7 +171,7 @@ int run(int argc, const char* const* argv) {
       plain.rb.max_generated = budget;
       Params armed = plain;
       armed.rb.max_memory_bytes = std::size_t{1} << 42;
-      armed.degrade.enabled = true;
+      armed.degrade = true;
       solve_bnb(ctx, plain);  // warm-up: fault in the context and pools
       for (int rep = 0; rep < reps; ++rep) {
         const SearchResult off = solve_bnb(ctx, plain);

@@ -48,7 +48,7 @@ struct SearchStats {
   std::uint64_t steals_attempted = 0;
   std::uint64_t steals_succeeded = 0;
   /// Degradation-ladder rungs applied (robust/degrade.hpp); zero unless
-  /// Params::degrade.enabled and memory pressure forced a step-down.
+  /// Params::degrade is on and memory pressure forced a step-down.
   std::uint64_t degrade_steps = 0;
   std::size_t peak_active = 0;       ///< max |AS| observed
   std::size_t peak_memory_bytes = 0; ///< max vertex-pool footprint

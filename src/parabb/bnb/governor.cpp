@@ -13,13 +13,18 @@
 
 namespace parabb {
 
+namespace {
+
+constexpr int kLadderRungs = static_cast<int>(kDegradeLadder.size());
+
+}  // namespace
+
 SearchGovernor::SearchGovernor(const SchedContext& ctx, const Params& params,
                                SnapshotEngine engine, int child_cap)
     : ctx_(ctx),
       params_(params),
       engine_(engine),
-      sched_(DegradeSchedule::from(params.degrade)),
-      ladder_on_(sched_.count > 0 &&
+      ladder_on_(params.degrade &&
                  params.rb.max_memory_bytes !=
                      std::numeric_limits<std::size_t>::max()),
       branch_(params.branch),
@@ -79,15 +84,11 @@ void SearchGovernor::resume_from(const SearchSnapshot& snap) {
   base_.seconds = 0.0;
   // Transposition survivors: preloading only accelerates pruning; a lost
   // entry merely re-explores a subtree, so partial restores are sound. The
-  // earlier counters (the table's, or the stats' once it was shed) fold
-  // in, so counters() keeps accumulating across restarts, and the registry
-  // only hears this run's share.
-  if (tt_) {
-    TranspositionCounters prior{.hits = snap.stats.tt_hits,
-                                .misses = snap.stats.tt_misses,
-                                .evictions = snap.stats.tt_evictions,
-                                .collisions = snap.stats.tt_collisions};
-    if (snap.tt_present) prior = snap.tt_counters;
+  // earlier counters (exported even once the table was shed) fold in, so
+  // counters() keeps accumulating across restarts, and the registry only
+  // hears this run's share.
+  if (tt_ && snap.tt_present) {
+    const TranspositionCounters& prior = snap.tt_counters;
     tt_->add_counters(prior);
     for (const SnapshotTTEntry& e : snap.tt_entries)
       tt_->preload(replay_path(ctx_, e.path), e.lb);
@@ -97,10 +98,13 @@ void SearchGovernor::resume_from(const SearchSnapshot& snap) {
     base_.tt_collisions = prior.collisions;
   }
   // The rungs the interrupted run had fired, replayed without re-counting
-  // them (its stats and certificate carry them already).
-  const int replay = std::min(snap.degrade_level, sched_.count);
+  // them (its stats and certificate carry them already). The instance
+  // fingerprint covers Params::degrade, so only a ladder-on run gets here
+  // with rungs to replay.
+  const int replay = std::min(snap.degrade_level, kLadderRungs);
   for (int lvl = 0; lvl < replay; ++lvl) {
-    apply_rung(sched_.rungs[static_cast<std::size_t>(lvl)].action, kTimeInf);
+    apply_rung(kDegradeLadder[static_cast<std::size_t>(lvl)].action,
+               kTimeInf);
   }
   level_.store(replay, std::memory_order_relaxed);
   if (snap.compromised) lose(snap.compromise_floor);
@@ -112,17 +116,16 @@ void SearchGovernor::resume_from(const SearchSnapshot& snap) {
   }
 }
 
-bool SearchGovernor::offer(Time cost, const PartialSchedule& state,
+void SearchGovernor::offer(Time cost, const PartialSchedule& state,
                            SearchStats& stats, SearchObs& so) {
-  if (cost >= this->cost()) return false;
+  if (cost >= this->cost()) return;
   const std::lock_guard lock(best_mutex_);
-  if (cost >= this->cost()) return false;  // a racing offer won
+  if (cost >= this->cost()) return;  // a racing offer won
   best_ = Schedule::from_partial(ctx_, state);
   found_ = true;
   cost_.store(cost, std::memory_order_relaxed);
   ++stats.goal_updates;
   so.incumbent(ctx_.task_count(), cost);
-  return true;
 }
 
 bool SearchGovernor::stop(TerminationReason r) noexcept {
@@ -160,19 +163,19 @@ void SearchGovernor::heartbeat(std::uint64_t generated,
 bool SearchGovernor::ladder_due(std::size_t used_bytes) const noexcept {
   if (!ladder_on_) return false;
   const int level = level_.load(std::memory_order_relaxed);
-  return level < sched_.count &&
-         sched_.target_level(used_bytes, params_.rb.max_memory_bytes) > level;
+  return level < kLadderRungs &&
+         degrade_target_level(used_bytes, params_.rb.max_memory_bytes) > level;
 }
 
 std::size_t SearchGovernor::memory_mark() const noexcept {
   const std::size_t budget = params_.rb.max_memory_bytes;
   const int level = level_.load(std::memory_order_relaxed);
-  if (!ladder_on_ || level >= sched_.count) return budget;
+  if (!ladder_on_ || level >= kLadderRungs) return budget;
   // One byte under the rung's fraction of the budget, so rounding can only
   // make the mark early, never late.
-  const double mark = std::floor(
-      sched_.rungs[static_cast<std::size_t>(level)].frac *
-      static_cast<double>(budget));
+  const double mark =
+      std::floor(kDegradeLadder[static_cast<std::size_t>(level)].frac *
+                 static_cast<double>(budget));
   return std::min(budget,
                   mark < 1.0 ? std::size_t{0}
                              : static_cast<std::size_t>(mark) - 1);
@@ -183,7 +186,7 @@ void SearchGovernor::step_ladder(std::size_t used_bytes, Time floor,
                                  SearchObs& so) {
   if (!ladder_on_) return;
   const int target =
-      sched_.target_level(used_bytes, params_.rb.max_memory_bytes);
+      degrade_target_level(used_bytes, params_.rb.max_memory_bytes);
   int cur = level_.load(std::memory_order_relaxed);
   while (cur < target) {
     // Each rung fires once: the caller whose exchange claims it applies
@@ -193,7 +196,7 @@ void SearchGovernor::step_ladder(std::size_t used_bytes, Time floor,
       continue;
     }
     const DegradeAction action =
-        sched_.rungs[static_cast<std::size_t>(cur)].action;
+        kDegradeLadder[static_cast<std::size_t>(cur)].action;
     apply_rung(action, floor);
     ++cur;
     ++stats.degrade_steps;
@@ -280,10 +283,12 @@ bool SearchGovernor::write_checkpoint(std::vector<SnapshotVertex> frontier,
   snap.degrade_level = level_.load(std::memory_order_relaxed);
   snap.compromised = incomplete();
   snap.compromise_floor = lost_floor();
-  if (TranspositionTable* const t = table()) {
+  // The table's counters are this run's only record of its probes, so a
+  // shed table is exported too: with its counters and no entries.
+  if (tt_) {
     snap.tt_present = true;
-    snap.tt_counters = t->counters();
-    t->for_each_entry([&](const PartialSchedule& s, Time lb) {
+    snap.tt_counters = tt_->counters();
+    tt_->for_each_entry([&](const PartialSchedule& s, Time lb) {
       if (snap.tt_entries.size() < kSnapshotTTCap) {
         snap.tt_entries.push_back(SnapshotTTEntry{placement_path(ctx_, s), lb});
       }

@@ -59,8 +59,8 @@ class SearchGovernor {
   Time cost() const noexcept { return cost_.load(std::memory_order_relaxed); }
   /// Offers the complete schedule `state` of cost `cost`. Only an
   /// improvement is taken: it replaces the incumbent, counts a goal update
-  /// and records the incumbent flight event. Returns whether it improved.
-  bool offer(Time cost, const PartialSchedule& state, SearchStats& stats,
+  /// and records the incumbent flight event.
+  void offer(Time cost, const PartialSchedule& state, SearchStats& stats,
              SearchObs& so);
   /// Counters a resumed run carries over (zero otherwise), seconds
   /// excluded; the table counters are the snapshot's.
@@ -194,7 +194,6 @@ class SearchGovernor {
   std::atomic<bool> stop_{false};
   std::atomic<TerminationReason> reason_{TerminationReason::kExhausted};
 
-  const DegradeSchedule sched_;
   const bool ladder_on_;
   std::atomic<int> level_{0};
   std::atomic<BranchRule> branch_;

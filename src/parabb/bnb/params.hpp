@@ -10,7 +10,6 @@
 #include <atomic>
 
 #include "parabb/bnb/transposition.hpp"
-#include "parabb/robust/degrade.hpp"
 #include "parabb/sched/context.hpp"
 #include "parabb/sched/partial_schedule.hpp"
 #include "parabb/support/types.hpp"
@@ -76,7 +75,7 @@ struct ResourceBounds {
   /// footprint, where each vertex is priced at vertex_bytes(ctx) (128 bytes
   /// for n <= 16 and m <= 4, 272 otherwise; bnb/vertex.hpp), and the
   /// parallel engine's summed per-worker slab bytes. Both engines stop at
-  /// the cap (kBudget); with `degrade.enabled` it is also the signal the
+  /// the cap (kBudget); with `degrade` on it is also the signal the
   /// graceful-degradation ladder steps against (docs/robustness.md).
   std::size_t max_memory_bytes = std::numeric_limits<std::size_t>::max();
 };
@@ -154,9 +153,10 @@ struct Params {
   /// rb.max_memory_bytes, the engines shed the transposition table,
   /// tighten the effective MAXSZDB, and step the branching rule down
   /// BFn -> BF1 -> DF before resorting to disposal or the budget cliff.
-  /// Disabled by default; with enabled == false no ladder state is read
-  /// anywhere and the search is byte-identical to pre-ladder builds.
-  DegradeConfig degrade;
+  /// The rungs and their fractions are fixed (kDegradeLadder). Off by
+  /// default; off, no ladder state is read anywhere and the search is
+  /// byte-identical to pre-ladder builds.
+  bool degrade = false;
 
   /// Optional deterministic fault injector (robust/fault.hpp); not owned,
   /// may be null. Both engines call its hooks at the allocation and poll

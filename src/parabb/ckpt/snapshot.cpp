@@ -109,6 +109,11 @@ std::vector<CutPlacement> read_path(Reader& r) {
 }
 
 // The counters in field-table order, then the two peaks and the seconds.
+// A counter added to the table changes the payload, so it comes with a new
+// SearchSnapshot::kFormatVersion and a new count here.
+static_assert(kSearchStatsFieldCount == 15,
+              "bump SearchSnapshot::kFormatVersion");
+
 void write_stats(Writer& w, const SearchStats& s) {
   for (const SearchStatsField& f : kSearchStatsFields) w.u64(s.*f.member);
   w.u64(s.peak_active);
@@ -170,7 +175,7 @@ std::uint64_t instance_fingerprint(const SchedContext& ctx, const Params& p) {
   h = mix_in(h, static_cast<std::uint64_t>(p.sort_children));
   h = mix_in(h, static_cast<std::uint64_t>(p.llb_tie_newest));
   h = mix_in(h, static_cast<std::uint64_t>(p.transposition.enabled));
-  h = mix_in(h, static_cast<std::uint64_t>(p.degrade.enabled));
+  h = mix_in(h, static_cast<std::uint64_t>(p.degrade));
   return h;
 }
 

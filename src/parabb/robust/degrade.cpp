@@ -6,15 +6,6 @@ namespace parabb {
 
 namespace {
 
-/// The ladder: each rung fires once memory use reaches its fraction of the
-/// budget, in this order.
-constexpr DegradeSchedule::Rung kLadder[] = {
-    {0.55, DegradeAction::kShedTT},
-    {0.70, DegradeAction::kTightenDB},
-    {0.80, DegradeAction::kBF1},
-    {0.90, DegradeAction::kDF},
-};
-
 /// Children per processor the kTightenDB rung leaves an expansion.
 constexpr int kTightenedChildrenPerProc = 2;
 
@@ -38,32 +29,20 @@ bool parse_degrade_action(std::string_view text, DegradeAction& out) {
   return false;
 }
 
-std::string DegradeConfig::describe() const {
-  return enabled ? "degrade=on" : "degrade=off";
-}
-
-int tightened_child_cap(int procs) {
-  return std::max(1, procs * kTightenedChildrenPerProc);
-}
-
-DegradeSchedule DegradeSchedule::from(const DegradeConfig& cfg) {
-  DegradeSchedule sched;
-  if (!cfg.enabled) return sched;
-  std::copy(std::begin(kLadder), std::end(kLadder), sched.rungs.begin());
-  sched.count = static_cast<int>(std::size(kLadder));
-  return sched;
-}
-
-int DegradeSchedule::target_level(std::size_t used_bytes,
-                                  std::size_t budget_bytes) const {
+int degrade_target_level(std::size_t used_bytes, std::size_t budget_bytes) {
   if (budget_bytes == 0) return 0;
   const double frac =
       static_cast<double>(used_bytes) / static_cast<double>(budget_bytes);
   int level = 0;
-  while (level < count && frac >= rungs[static_cast<std::size_t>(level)].frac) {
+  for (const DegradeRung& rung : kDegradeLadder) {
+    if (frac < rung.frac) break;
     ++level;
   }
   return level;
+}
+
+int tightened_child_cap(int procs) {
+  return std::max(1, procs * kTightenedChildrenPerProc);
 }
 
 }  // namespace parabb

@@ -6,8 +6,8 @@
 // Following Orr & Sinnen's memory-limited B&B results (PAPERS.md),
 // degrading the *strategy* under pressure preserves far more solution
 // quality than truncating the search: as memory usage crosses fixed
-// high-water fractions of the budget (55, 70, 80 and 90 %), the engines
-// step down
+// high-water fractions of the budget (kDegradeLadder), the engines step
+// down
 //
 //   shed the transposition table  ->  tighten MAXSZDB  ->  BFn -> BF1  ->  DF
 //
@@ -15,7 +15,7 @@
 // (monotone), is counted in SearchStats::degrade_steps / the
 // parabb_degrade_steps_total metric, emitted as a kDegrade flight event,
 // and recorded in the optimality certificate so parabb_verify can audit
-// a degraded run. With `enabled == false` (the default) no ladder state
+// a degraded run. With Params::degrade off (the default) no ladder state
 // is consulted anywhere and the search is byte-identical to a build
 // without this header.
 #pragma once
@@ -38,34 +38,25 @@ enum class DegradeAction : std::uint8_t {
 std::string to_string(DegradeAction a);
 bool parse_degrade_action(std::string_view text, DegradeAction& out);
 
-/// Ladder configuration. The rungs and their fractions are fixed
-/// (degrade.cpp); a run only switches the ladder on or off.
-struct DegradeConfig {
-  bool enabled = false;
-
-  std::string describe() const;
+struct DegradeRung {
+  double frac;  ///< fires once memory use reaches this fraction of budget
+  DegradeAction action;
 };
+
+/// The ladder, in firing order. The search governor tracks the level
+/// reached, i.e. how many of these rungs have fired.
+inline constexpr std::array<DegradeRung, 4> kDegradeLadder = {{
+    {0.55, DegradeAction::kShedTT},
+    {0.70, DegradeAction::kTightenDB},
+    {0.80, DegradeAction::kBF1},
+    {0.90, DegradeAction::kDF},
+}};
+
+/// How many rungs should have fired at this usage level. Monotone in
+/// `used_bytes`; 0 when the budget is 0.
+int degrade_target_level(std::size_t used_bytes, std::size_t budget_bytes);
 
 /// Effective MAXSZDB after kTightenDB on `procs` processors.
 int tightened_child_cap(int procs);
-
-/// The config compiled into an ordered rung list: all four rungs, or none
-/// while the ladder is off. Pure value type; the search governor tracks
-/// the level reached.
-struct DegradeSchedule {
-  struct Rung {
-    double frac = 0.0;
-    DegradeAction action = DegradeAction::kShedTT;
-  };
-
-  std::array<Rung, 4> rungs{};
-  int count = 0;
-
-  static DegradeSchedule from(const DegradeConfig& cfg);
-
-  /// How many rungs should have fired at this usage level (clamped to
-  /// count). Monotone in `used_bytes`; 0 when budget is 0/unbounded.
-  int target_level(std::size_t used_bytes, std::size_t budget_bytes) const;
-};
 
 }  // namespace parabb

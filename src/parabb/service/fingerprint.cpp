@@ -63,7 +63,7 @@ std::string request_key(const JobRequest& request) {
   os << "flight=" << request.flight << '\n';
   // The degradation ladder changes which vertices a memory-capped run
   // explores, so a degraded result must not satisfy a ladder-off request.
-  os << request.params.degrade.describe() << '\n';
+  os << (request.params.degrade ? "degrade=on" : "degrade=off") << '\n';
   os << "budget wall_ms=" << request.budget.wall_ms
      << " max_generated=" << request.budget.max_generated
      << " max_active_bytes=" << request.budget.max_active_bytes << '\n';

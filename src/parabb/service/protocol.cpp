@@ -167,9 +167,9 @@ JobRequest request_from_json(const std::string& line) {
 
   req.certify = get_bool_field(doc, "certify", false);
   req.flight = get_bool_field(doc, "flight", false);
-  // Opt into the graceful-degradation ladder (default high-water marks;
-  // a no-op unless the budget carries max_active_bytes).
-  req.params.degrade.enabled = get_bool_field(doc, "degrade", false);
+  // Opt into the graceful-degradation ladder (a no-op unless the budget
+  // carries max_active_bytes).
+  req.params.degrade = get_bool_field(doc, "degrade", false);
 
   if (const JsonValue* budget = doc.find("budget")) {
     if (!budget->is_object()) bad_request("budget must be an object");

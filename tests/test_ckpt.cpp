@@ -265,7 +265,7 @@ TEST(Resume, ReplaysFiredRungsInBothEngines) {
   Params base;
   base.transposition.enabled = true;
   base.transposition.memory_cap_bytes = std::size_t{1} << 20;
-  base.degrade.enabled = true;
+  base.degrade = true;
   base.rb.max_memory_bytes = std::size_t{1} << 30;  // armed, never reached
   SearchSnapshot snap = partial_snapshot(ctx, tmp.file("seq.ckpt"), base);
   ASSERT_TRUE(snap.tt_present);
@@ -291,6 +291,39 @@ TEST(Resume, ReplaysFiredRungsInBothEngines) {
   EXPECT_TRUE(seq.found_solution);
   EXPECT_FALSE(par.proved);
   EXPECT_TRUE(par.found_solution);
+}
+
+// A shed table is probed no more, so its counters stop at the shed. A
+// snapshot written after the shed still carries them (and no entries), and
+// the resumed run ends with the uninterrupted run's table counters.
+TEST(Resume, TableShedBeforeTheSnapshotKeepsItsCounters) {
+  const ScratchDir tmp("shed");
+  const SchedContext ctx = test::make_ctx(test::tight_instance(6), 3);
+  Params base;
+  base.select = SelectRule::kLLB;
+  base.ub = UpperBoundInit::kInfinite;
+  base.transposition.enabled = true;
+  base.transposition.memory_cap_bytes = std::size_t{1} << 20;
+  base.degrade = true;
+  base.rb.max_memory_bytes = std::size_t{128} << 10;
+  const SearchResult clean = solve_bnb(ctx, base);
+  ASSERT_GT(clean.stats.tt_misses, 0u);
+  ASSERT_GE(clean.stats.degrade_steps, 1u);
+
+  const SearchSnapshot snap =
+      partial_snapshot(ctx, tmp.file("seq.ckpt"), base);
+  ASSERT_GE(snap.degrade_level, 1);  // the shed came before the write
+  EXPECT_TRUE(snap.tt_present);
+  EXPECT_TRUE(snap.tt_entries.empty());
+
+  Params resume = base;
+  resume.resume = &snap;
+  const SearchResult r = solve_bnb(ctx, resume);
+  EXPECT_EQ(r.best_cost, clean.best_cost);
+  EXPECT_EQ(r.stats.tt_hits, clean.stats.tt_hits);
+  EXPECT_EQ(r.stats.tt_misses, clean.stats.tt_misses);
+  EXPECT_EQ(r.stats.tt_evictions, clean.stats.tt_evictions);
+  EXPECT_EQ(r.stats.tt_collisions, clean.stats.tt_collisions);
 }
 
 // ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ std::vector<Config> grid() {
          p.ub = UpperBoundInit::kInfinite;
          small_table(p);
          p.rb.max_memory_bytes = std::size_t{256} << 10;
-         p.degrade.enabled = true;
+         p.degrade = true;
        }),
        .feature = "the degradation ladder",
        .fired = [](const Totals& t) { return t.degrade_steps > 0; }},
@@ -298,7 +298,7 @@ std::vector<Config> grid() {
          p.ub = UpperBoundInit::kInfinite;
          small_table(p);
          p.rb.max_memory_bytes = std::size_t{48} << 10;
-         p.degrade.enabled = true;
+         p.degrade = true;
        }),
        .feature = "the degradation ladder",
        .fired = [](const Totals& t) { return t.degrade_steps > 0; },

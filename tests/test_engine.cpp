@@ -161,7 +161,7 @@ TEST(Engine, LadderStepsBeforeTheMemoryCliff) {
   p.select = SelectRule::kLLB;
   p.rb.max_generated = 20000;
   p.rb.max_memory_bytes = 65536;
-  p.degrade.enabled = true;
+  p.degrade = true;
   const SearchResult r = solve_bnb(ctx, p);
   EXPECT_EQ(r.reason, TerminationReason::kBudget);
   EXPECT_LT(r.stats.expanded, 256u);

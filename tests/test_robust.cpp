@@ -116,26 +116,16 @@ TEST(FaultInjector, QueueFullConsumesRejectionBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Degrade schedule
+// Degrade ladder
 // ---------------------------------------------------------------------------
 
-TEST(DegradeSchedule, DisabledConfigHasNoRungs) {
-  const DegradeSchedule s = DegradeSchedule::from(DegradeConfig{});
-  EXPECT_EQ(s.count, 0);
-  EXPECT_EQ(s.target_level(100, 100), 0);
-}
-
-TEST(DegradeSchedule, TargetLevelMonotone) {
-  DegradeConfig cfg;
-  cfg.enabled = true;
-  const DegradeSchedule s = DegradeSchedule::from(cfg);
-  ASSERT_EQ(s.count, 4);
-  EXPECT_EQ(s.target_level(0, 1000), 0);
-  EXPECT_EQ(s.target_level(550, 1000), 1);
-  EXPECT_EQ(s.target_level(700, 1000), 2);
-  EXPECT_EQ(s.target_level(850, 1000), 3);
-  EXPECT_EQ(s.target_level(2000, 1000), 4);
-  EXPECT_EQ(s.target_level(2000, 0), 0);  // unbounded budget: never
+TEST(DegradeLadder, TargetLevelMonotone) {
+  EXPECT_EQ(degrade_target_level(0, 1000), 0);
+  EXPECT_EQ(degrade_target_level(550, 1000), 1);
+  EXPECT_EQ(degrade_target_level(700, 1000), 2);
+  EXPECT_EQ(degrade_target_level(850, 1000), 3);
+  EXPECT_EQ(degrade_target_level(2000, 1000), 4);
+  EXPECT_EQ(degrade_target_level(2000, 0), 0);  // zero budget: never
 }
 
 TEST(DegradeAction, StringRoundTrip) {
@@ -429,7 +419,7 @@ CappedRun run_capped(const SchedContext& ctx, std::size_t cap, bool ladder) {
   p.ub = UpperBoundInit::kInfinite;  // incumbents must come from the search
   p.rb.max_generated = 60000;        // safety net
   if (cap != 0) p.rb.max_memory_bytes = cap;
-  p.degrade.enabled = ladder;
+  p.degrade = ladder;
   const SearchResult r = solve_bnb(ctx, p);
   return {r.found_solution, r.best_cost, r.reason, r.stats};
 }
@@ -473,7 +463,7 @@ TEST(DegradeLadder, RungsFireAndAreObservable) {
     p.ub = UpperBoundInit::kInfinite;
     p.rb.max_generated = 60000;
     p.rb.max_memory_bytes = cap;
-    p.degrade.enabled = true;
+    p.degrade = true;
     CertificateBuilder builder;
     p.certify = &builder;
     const SearchResult r = solve_bnb(ctx, p);
@@ -514,7 +504,7 @@ TEST(DegradeLadder, ParallelRungsFireUnderMemoryCap) {
 
     ParallelParams pp = probe;
     pp.base.rb.max_memory_bytes = pr.stats.peak_memory_bytes / 2;
-    pp.base.degrade.enabled = true;
+    pp.base.degrade = true;
     const ParallelResult r = solve_bnb_parallel(ctx, pp);
     if (r.stats.degrade_steps == 0) continue;
     EXPECT_GE(r.stats.degrade_steps, 1u);
@@ -617,7 +607,7 @@ TEST(Recycling, WarmThreadRunsMatchColdOnes) {
       p.ub = UpperBoundInit::kInfinite;
       p.rb.max_generated = 60000;
       p.rb.max_memory_bytes = cap;
-      p.degrade.enabled = true;
+      p.degrade = true;
       CertificateBuilder builder;
       if (certify) p.certify = &builder;
       const SearchResult r = solve_bnb(ctx, p);
@@ -700,7 +690,7 @@ TEST(Recycling, LayoutsShareAThreadWithoutMixing) {
       p.rb.max_generated = 30000;
       if (cap != 0) {
         p.rb.max_memory_bytes = cap;
-        p.degrade.enabled = true;
+        p.degrade = true;
       }
       CertificateBuilder builder;
       p.certify = &builder;
@@ -824,7 +814,7 @@ TEST(ServiceRobust, DegradeRequestFieldThreadsThrough) {
   const JobRequest req = request_from_json(
       R"({"id":"d1","graph":"task a exec=3","degrade":true,)"
       R"("budget":{"max_active_bytes":1000000}})");
-  EXPECT_TRUE(req.params.degrade.enabled);
+  EXPECT_TRUE(req.params.degrade);
   EXPECT_THROW(request_from_json(R"({"id":"d2","graph":"task a exec=3",)"
                                  R"("degrade":1})"),
                std::runtime_error);

@@ -221,7 +221,7 @@ TEST(TranspositionTable, MemoryStaysBoundedUnderEvictionPressure) {
   EXPECT_GT(admitted, 8);  // eviction kept admitting better-bound states
 }
 
-TEST(TranspositionTable, ClearDropsEntriesButKeepsCounters) {
+TEST(TranspositionTable, ReleaseFreesSlotsButKeepsCounters) {
   const TaskGraph g = test::independent_tasks(4);
   const SchedContext ctx = test::make_ctx(g, 2);
   TranspositionTable tt(tiny_config());

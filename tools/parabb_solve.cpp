@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
       budget.max_active_bytes =
           static_cast<std::size_t>(parser.get_int("max-memory"));
       apply_budget(params, budget, &g_interrupt);
-      params.degrade.enabled = parser.has_flag("degrade");
+      params.degrade = parser.has_flag("degrade");
       std::optional<FaultInjector> injector;
       if (const std::string fs = parser.get_string("inject-faults");
           !fs.empty()) {
