@@ -39,8 +39,12 @@ struct Shared {
   SearchGovernor& gov;
 
   /// Generated vertices across all workers, for RB.max_generated. One
-  /// relaxed add per expansion (batched), invisible next to expansion cost.
-  std::atomic<std::uint64_t> generated{0};
+  /// relaxed add per expansion (batched), invisible next to expansion cost
+  /// only on a cache line of its own: every worker reads the references
+  /// above as often, and sharing their line cut perfbench solve_par's
+  /// two-worker speedup from 1.33 to 1.06 (EXPERIMENTS.md, "One
+  /// incumbent, one result").
+  alignas(64) std::atomic<std::uint64_t> generated{0};
 
   /// Per-worker resident bytes, published at the flush cadence; their sum
   /// is what the ladder and the memory cliff compare against
