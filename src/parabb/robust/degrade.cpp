@@ -29,6 +29,10 @@ bool parse_degrade_action(std::string_view text, DegradeAction& out) {
   return false;
 }
 
+int tightened_child_cap(int procs) {
+  return std::max(1, procs * kTightenedChildrenPerProc);
+}
+
 int degrade_target_level(std::size_t used_bytes, std::size_t budget_bytes) {
   if (budget_bytes == 0) return 0;
   const double frac =
@@ -39,10 +43,6 @@ int degrade_target_level(std::size_t used_bytes, std::size_t budget_bytes) {
     ++level;
   }
   return level;
-}
-
-int tightened_child_cap(int procs) {
-  return std::max(1, procs * kTightenedChildrenPerProc);
 }
 
 }  // namespace parabb
