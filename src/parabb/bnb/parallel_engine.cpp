@@ -51,51 +51,6 @@ struct Shared {
   /// rb.max_memory_bytes.
   std::vector<std::atomic<std::size_t>> worker_bytes;
 
-  // --- crash-safe checkpoint quiesce (ckpt/snapshot.hpp) ----------------
-  // The supervisor bumps `ckpt_epoch`; every worker, at its amortized poll
-  // point (or while foraging), copies its own deque contents plus the
-  // in-hand vertex into its dump slot, publishes a stats copy, and then
-  // *pauses* until the supervisor finishes serializing. The pause is what
-  // makes the frontier complete: once a worker has dumped, it neither
-  // consumes nor produces vertices until the release, so every vertex
-  // live at serialize time is in some dump slot — a steal landing after
-  // the victim's dump merely
-  // duplicates an already-captured entry, which resume re-explores
-  // harmlessly. `ckpt_alive` counts workers that have not exited, so a
-  // worker leaving mid-quiesce (search exhausted or stopped) cannot hang
-  // the supervisor; its slot keeps the previous epoch tag and is skipped.
-  // With params.ckpt == nullptr none of this state is touched.
-  struct CkptDump {
-    std::uint64_t epoch = 0;  ///< epoch this slot was written for
-    std::vector<WorkItem> items;
-    SearchStats stats;
-  };
-  std::atomic<std::uint64_t> ckpt_epoch{0};
-  std::atomic<std::uint64_t> ckpt_released{0};
-  std::atomic<int> ckpt_arrived{0};
-  std::atomic<int> ckpt_alive{0};
-  std::vector<CkptDump> ckpt_dumps;
-
-  /// Blocks the calling worker until the supervisor releases `epoch` (or
-  /// the search stops). Callers must hold no locks.
-  void ckpt_pause(std::uint64_t epoch) {
-    while (ckpt_released.load(std::memory_order_acquire) < epoch &&
-           !gov.stopped()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-
-  /// Worker-side arrival: publishes this worker's dump slot (items were
-  /// already filled by the caller), joins the barrier, and sits out the
-  /// serialize. At most once per epoch per worker.
-  void ckpt_arrive_and_pause(std::size_t self, std::uint64_t epoch,
-                             const SearchStats& worker_stats) {
-    ckpt_dumps[self].stats = worker_stats;
-    ckpt_dumps[self].epoch = epoch;
-    ckpt_arrived.fetch_add(1, std::memory_order_release);
-    ckpt_pause(epoch);
-  }
-
   Shared(const SchedContext& c, const Params& p, SearchGovernor& g,
          int threads)
       : ctx(c),
@@ -244,7 +199,8 @@ struct WsControl {
   /// BEFORE attempting a steal and re-increments only after the whole
   /// sweep failed.
   alignas(64) std::atomic<int> idle{0};
-  std::atomic<bool> done{false};  ///< search exhausted (terminal)
+  std::atomic<bool> done{false};   ///< search exhausted (terminal)
+  std::atomic<bool> pause{false};  ///< end this round for a checkpoint
 
   /// Starved workers park here on a *timed* wait, so a missed notify (the
   /// wakers deliberately notify without holding the mutex) costs at most
@@ -264,6 +220,11 @@ struct WsControl {
 /// or (4), since an owner only goes idle with its own deque drained — or in
 /// the hands of a worker that decremented `idle` before claiming it —
 /// contradicting (3). See docs/algorithm.md for the full argument.
+///
+/// A worker also returns, counted idle, once `ctl.pause` is up: at its
+/// 256-expansion flush, after pushing its in-hand vertex back onto its own
+/// deque, or in its forage loop. The caller starts it again after the
+/// checkpoint; its first pop takes the in-hand vertex back.
 void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
                     SearchStats& stats, SearchObs& so) {
   WsDeque<WsNode*>& mine = *ctl.deques[self];
@@ -275,43 +236,16 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
   std::minstd_rand rng(static_cast<std::minstd_rand::result_type>(
       self * 2654435761u + 1));
   std::uint64_t iter = 0;
-  std::uint64_t ckpt_seen = 0;  // last checkpoint epoch this worker joined
 
   const auto pop_own = [&]() -> WsNode* {
     WsNode* n = nullptr;
     return mine.pop_bottom(n) ? n : nullptr;
   };
   const auto finish = [&] {
-    if (sh.params.ckpt != nullptr) {
-      sh.ckpt_alive.fetch_sub(1, std::memory_order_relaxed);
-    }
     stats.peak_memory_bytes = std::max(
         stats.peak_memory_bytes, slab.memory_bytes() + mine.memory_bytes());
     so.deque_depth(0);
     so.flush(stats);
-  };
-  /// Checkpoint barrier (Shared::CkptDump): copy the in-hand vertex plus
-  /// the owned deque into this worker's dump slot — pop-all / push-back
-  /// restores the deque order; a concurrent thief may shrink what we see,
-  /// in which case the items travel in the thief's dump instead — then
-  /// arrive and pause until the supervisor has serialized.
-  const auto ckpt_join = [&](std::uint64_t epoch, WsNode* in_hand) {
-    ckpt_seen = epoch;
-    std::vector<WorkItem>& out = sh.ckpt_dumps[self].items;
-    out.clear();
-    if (in_hand != nullptr) {
-      out.push_back(WorkItem{in_hand->state, in_hand->lb});
-    }
-    loot.clear();
-    for (WsNode* n = pop_own(); n != nullptr; n = pop_own()) {
-      loot.push_back(n);
-      out.push_back(WorkItem{n->state, n->lb});
-    }
-    for (auto it = loot.rbegin(); it != loot.rend(); ++it) {
-      mine.push_bottom(*it);
-    }
-    loot.clear();
-    sh.ckpt_arrive_and_pause(self, epoch, stats);
   };
 
   WsNode* cur = pop_own();
@@ -404,10 +338,10 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
         stats.peak_memory_bytes = std::max(stats.peak_memory_bytes, bytes);
         sh.poll_memory(self, bytes, stats, so);
         so.flush(stats);
-        if (sh.params.ckpt != nullptr) {
-          const std::uint64_t e =
-              sh.ckpt_epoch.load(std::memory_order_acquire);
-          if (e != ckpt_seen) ckpt_join(e, cur);
+        if (ctl.pause.load(std::memory_order_acquire)) {
+          if (cur != nullptr) mine.push_bottom(cur);
+          cur = nullptr;
+          break;  // the forage loop below returns
         }
       }
       if (cur == nullptr) cur = pop_own();
@@ -417,17 +351,10 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
     ctl.idle.fetch_add(1, std::memory_order_seq_cst);
     int spins = 0;
     while (cur == nullptr) {
-      if (sh.gov.stopped() || ctl.done.load(std::memory_order_acquire)) {
+      if (sh.gov.stopped() || ctl.done.load(std::memory_order_acquire) ||
+          ctl.pause.load(std::memory_order_acquire)) {
         finish();
         return;  // exits counted idle; caller asserts idle == threads
-      }
-      if (sh.params.ckpt != nullptr) {
-        const std::uint64_t e =
-            sh.ckpt_epoch.load(std::memory_order_acquire);
-        if (e != ckpt_seen) {
-          ckpt_join(e, nullptr);  // foraging: empty-handed, deque drained
-          continue;
-        }
       }
       // Glance: is any work visible? A mere look needs no idle bookkeeping.
       bool saw_work = false;
@@ -472,10 +399,13 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
       // sweep, the stop flag stayed clear, and a re-sweep agrees. The
       // seq_cst RMW read of `idle` doubles as the full barrier ordering
       // the glance before the count (an RMW so the ordering is modeled by
-      // TSan, which cannot see standalone fences).
+      // TSan, which cannot see standalone fences). A paused worker is
+      // counted idle with its deque full, so the count proves nothing once
+      // `pause` is up; the read synchronizes with every paused worker's
+      // count, so it sees the flag that worker saw.
       if (ctl.idle.fetch_add(0, std::memory_order_seq_cst) ==
               static_cast<int>(nworkers) &&
-          !sh.gov.stopped()) {
+          !sh.gov.stopped() && !ctl.pause.load(std::memory_order_acquire)) {
         bool still_empty = true;
         for (std::size_t v = 0; v < nworkers && still_empty; ++v) {
           still_empty = ctl.deques[v]->empty_hint();
@@ -520,12 +450,6 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
   // points stay aligned with the uninterrupted run.
   const SearchStats& resume_base = gov.base_stats();
   sh.generated.store(resume_base.generated);
-  // Crash-safe checkpoints (ckpt/snapshot.hpp): with ckpt == nullptr
-  // nothing below touches the quiesce state.
-  if (pp.base.ckpt != nullptr) {
-    sh.ckpt_dumps.resize(static_cast<std::size_t>(threads));
-    sh.ckpt_alive.store(threads, std::memory_order_relaxed);
-  }
 
   // Seeding: breadth-first expansion until one frontier item per worker.
   // Flight channel 0 belongs to this phase; workers use channels 1..N.
@@ -605,48 +529,34 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
     const bool supervise =
         std::isfinite(limit) || pp.base.ckpt != nullptr;
 
-    // Snapshots the quiesced state through the governor. Runs with every
-    // live worker arrived-and-paused, so the dump slots together hold the
-    // complete frontier. Returns true when the write was the SIGTERM
-    // path's last act.
-    const auto ckpt_serialize = [&]() {
-      const std::uint64_t epoch =
-          sh.ckpt_epoch.load(std::memory_order_relaxed);
-      SearchStats agg = resume_base;
-      merge_search_stats(agg, seed_stats);
+    // Snapshots the frontier between two rounds, when this thread alone
+    // touches the deques and the workers' stats: per worker, its deque
+    // popped newest first (the in-hand vertex a paused worker pushed back
+    // comes first) and pushed back in order. Returns true when the
+    // search ends here: it is exhausted (a pause that landed after the
+    // last expansion leaves nothing to snapshot), or the write was the
+    // SIGTERM path's last act.
+    const auto write_checkpoint = [&]() {
       std::vector<SnapshotVertex> frontier;
       std::uint32_t seq = 0;
-      for (const Shared::CkptDump& d : sh.ckpt_dumps) {
-        if (d.epoch != epoch) continue;  // worker exited before this epoch
-        merge_search_stats(agg, d.stats);
-        for (const WorkItem& w : d.items) {
+      std::vector<WsNode*> nodes;
+      for (const auto& d : ctl.deques) {
+        WsNode* n = nullptr;
+        while (d->pop_bottom(n)) nodes.push_back(n);
+        for (const WsNode* w : nodes) {
           frontier.push_back(
-              SnapshotVertex{placement_path(ctx, w.state), w.lb, seq++});
+              SnapshotVertex{placement_path(ctx, w->state), w->lb, seq++});
         }
+        for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+          d->push_bottom(*it);
+        }
+        nodes.clear();
       }
+      if (frontier.empty()) return true;
+      SearchStats agg = resume_base;
+      merge_search_stats(agg, seed_stats);
+      for (const SearchStats& s : per_thread) merge_search_stats(agg, s);
       return gov.write_checkpoint(std::move(frontier), seq, agg, seed_so);
-    };
-
-    // Quiesce barrier: bump the epoch, wait for every live worker to dump
-    // and pause, serialize, release. Aborts — without writing — if the
-    // search ends mid-quiesce; the final result supersedes any snapshot.
-    const auto ckpt_quiesce = [&]() {
-      const std::uint64_t epoch =
-          sh.ckpt_epoch.load(std::memory_order_relaxed) + 1;
-      sh.ckpt_arrived.store(0, std::memory_order_relaxed);
-      sh.ckpt_epoch.store(epoch, std::memory_order_release);
-      bool complete = true;
-      while (sh.ckpt_arrived.load(std::memory_order_acquire) <
-             sh.ckpt_alive.load(std::memory_order_relaxed)) {
-        if (ctl.done.load() || gov.stopped()) {
-          complete = false;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-      const bool stop_after = complete && ckpt_serialize();
-      sh.ckpt_released.store(epoch, std::memory_order_release);
-      return stop_after;
     };
 
     // Round-robin seed distribution. Each worker's share is pushed in
@@ -669,27 +579,42 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
         }
       }
     }
-    for (int i = 0; i < threads; ++i) {
-      pool.emplace_back([&sh, &ctl, &per_thread, &per_obs, i] {
-        ws_worker_loop(sh, ctl, static_cast<std::size_t>(i),
-                       per_thread[static_cast<std::size_t>(i)],
-                       per_obs[static_cast<std::size_t>(i)]);
-      });
-    }
-    // Time-limit / checkpoint supervisor (main thread); cancellation and
-    // the generated budget are polled by the workers (Shared::should_stop).
-    if (supervise) {
-      while (!ctl.done.load() && !gov.stopped()) {
-        if (gov.out_of_time(sh.generated.load(std::memory_order_relaxed))) {
-          break;
-        }
-        if (gov.checkpoint_due() && ckpt_quiesce()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Worker rounds. A round ends when every worker has returned: the
+    // search is exhausted or stopped, or the supervisor raised `pause`
+    // for a checkpoint, which is written between this round and the next.
+    for (;;) {
+      for (int i = 0; i < threads; ++i) {
+        pool.emplace_back([&sh, &ctl, &per_thread, &per_obs, i] {
+          ws_worker_loop(sh, ctl, static_cast<std::size_t>(i),
+                         per_thread[static_cast<std::size_t>(i)],
+                         per_obs[static_cast<std::size_t>(i)]);
+        });
       }
+      // Time-limit / checkpoint supervisor (main thread); cancellation and
+      // the generated budget are polled by the workers
+      // (Shared::should_stop). The checkpoint check comes before the
+      // sleep, so a pending request_now() is served even by a round that
+      // would end within one sleep.
+      if (supervise) {
+        while (!ctl.done.load() && !gov.stopped()) {
+          if (gov.out_of_time(sh.generated.load(std::memory_order_relaxed))) {
+            break;
+          }
+          if (gov.checkpoint_due()) {
+            ctl.pause.store(true, std::memory_order_release);
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+      }
+      for (auto& th : pool) th.join();
+      pool.clear();
+      // Every exit path leaves the worker counted idle.
+      PARABB_ASSERT(ctl.idle.load() == threads);
+      if (!ctl.pause.load() || gov.stopped() || write_checkpoint()) break;
+      ctl.pause.store(false);
+      ctl.idle.store(0);
     }
-    for (auto& th : pool) th.join();
-    // Every exit path leaves the worker counted idle.
-    PARABB_ASSERT(ctl.idle.load() == threads);
     // An early stop can leave stolen-then-abandoned vertices behind; they
     // count as disposed. After the joins the main thread is the sole
     // accessor, so owner ops are safe here.
@@ -702,35 +627,19 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
   }
   merge_search_stats(stats, seed_stats);
   merge_search_stats(stats, resume_base);
+  // What the workers and the seed phase flushed, plus the resumed run's
+  // base, which the run that earned it published.
+  const SearchStats published = stats;
   // Vertices an early stop abandoned in the deques were disposed of, the
   // same way worker-local leftovers are counted inside the worker loop.
   stats.disposed += leftover_disposed;
 
   // The deques track no least bound, so the gap floor stays at -inf.
   ParallelResult result{gov.finish(stats, kTimeNegInf), threads};
-  // Workers and the seed phase flushed their own counters; publish the
-  // remainder that only exists post-merge (leftovers disposed by an early
-  // stop, shared-table totals). The table totals include a resumed run's
-  // base, which the run that earned it already published.
-  if (pp.base.observe) {
-    SearchObs fin;
-    fin.bind(pp.base.observe, /*channel=*/0, /*with_flight=*/false);
-    SearchStats base;
-    base.tt_hits = resume_base.tt_hits;
-    base.tt_misses = resume_base.tt_misses;
-    base.tt_evictions = resume_base.tt_evictions;
-    base.tt_collisions = resume_base.tt_collisions;
-    fin.seed(base);
-    SearchStats rem;
-    rem.disposed = leftover_disposed;
-    rem.tt_hits = result.stats.tt_hits;
-    rem.tt_misses = result.stats.tt_misses;
-    rem.tt_evictions = result.stats.tt_evictions;
-    rem.tt_collisions = result.stats.tt_collisions;
-    rem.peak_active = result.stats.peak_active;
-    rem.peak_memory_bytes = result.stats.peak_memory_bytes;
-    fin.flush(rem);
-  }
+  // Final deltas: those leftovers and this run's share of the table
+  // counters finish set.
+  seed_so.seed(published);
+  seed_so.flush(result.stats);
   return result;
 }
 

@@ -240,6 +240,62 @@ TEST(Resume, InterruptedRunsReachUninterruptedOptimum) {
   }
 }
 
+// request_now(/*stop_after=*/true) is what parabb_solve's SIGTERM handler
+// calls: the run writes one snapshot, then stops (kCancelled), and the
+// snapshot resumes to the uninterrupted optimum with a CERTIFIED
+// certificate. The request is pending before the run starts, so the
+// parallel supervisor serves it before its first sleep.
+TEST(Resume, CheckpointThenStopInBothEngines) {
+  const ScratchDir tmp("stop");
+  const TaskGraph g = test::tight_instance(7);
+  const Machine m = make_shared_bus_machine(3);
+  const SchedContext ctx(g, m);
+  const Params base;
+  const SearchResult clean = solve_bnb(ctx, base);
+  ASSERT_TRUE(clean.proved);
+
+  for (const int threads : {0, 1, 4, 8}) {  // 0 = sequential
+    const std::string name =
+        threads == 0 ? "sequential" : std::to_string(threads) + " threads";
+    const std::string path = tmp.file(std::to_string(threads) + ".ckpt");
+    CheckpointController ckpt(path, /*every_ms=*/0);
+    ckpt.request_now(/*stop_after=*/true);
+    CertificateBuilder partial_builder;
+    Params partial = base;
+    partial.ckpt = &ckpt;
+    partial.certify = &partial_builder;
+    TerminationReason reason = TerminationReason::kExhausted;
+    if (threads == 0) {
+      reason = solve_bnb(ctx, partial).reason;
+    } else {
+      ParallelParams pp;
+      pp.base = partial;
+      pp.threads = threads;
+      reason = solve_bnb_parallel(ctx, pp).reason;
+    }
+    EXPECT_EQ(reason, TerminationReason::kCancelled) << name;
+    ASSERT_EQ(ckpt.writes(), 1u) << name;
+
+    const SearchSnapshot snap = load_snapshot(path);
+    CertificateBuilder builder;
+    Params resume = base;
+    resume.resume = &snap;
+    resume.certify = &builder;
+    SearchResult r;
+    if (threads == 0) {
+      r = solve_bnb(ctx, resume);
+    } else {
+      ParallelParams pp;
+      pp.base = resume;
+      pp.threads = threads;
+      r = solve_bnb_parallel(ctx, pp);
+    }
+    EXPECT_TRUE(r.proved) << name;
+    EXPECT_EQ(r.best_cost, clean.best_cost) << name;
+    EXPECT_TRUE(verify_certificate(g, m, builder.take()).certified) << name;
+  }
+}
+
 TEST(Resume, AccumulatesStatsAcrossRestart) {
   const ScratchDir tmp("stats");
   const SchedContext ctx = test::make_ctx(test::tight_instance(3), 3);

@@ -5,7 +5,11 @@
 // off leaves every solver output byte-identical.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +17,8 @@
 #include "parabb/bnb/engine.hpp"
 #include "parabb/bnb/parallel_engine.hpp"
 #include "parabb/bnb/search_obs.hpp"
+#include "parabb/ckpt/checkpoint.hpp"
+#include "parabb/ckpt/snapshot.hpp"
 #include "parabb/obs/metrics.hpp"
 #include "parabb/obs/observe.hpp"
 #include "parabb/obs/recorder.hpp"
@@ -526,6 +532,73 @@ TEST(ObserveDifferential, ParallelEngineMultiThreadSameOptimum) {
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.find_counter("parabb_search_expanded_total")->value,
             on.stats.expanded);
+}
+
+// The registry hears each run's own share: a resumed run publishes its
+// result minus the snapshot's base, which the interrupted run published,
+// whether it ends exhausted or budget-stopped with vertices left over, in
+// either engine. Both engines fold the table counters in at the finish,
+// from the table, so the base's table counters are the snapshot's
+// tt_counters.
+TEST(ObserveResume, RegistryTotalsAreTheRunsShare) {
+  const SchedContext ctx = test::make_ctx(test::tight_instance(3), 3);
+  Params base;
+  base.transposition.enabled = true;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("parabb_obs_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  CheckpointController ckpt(path, /*every_ms=*/0);
+  ckpt.request_now();  // written at the first poll
+  Params first = base;
+  first.ckpt = &ckpt;
+  first.rb.max_generated = 20000;
+  solve_bnb(ctx, first);
+  ASSERT_GE(ckpt.writes(), 1u);
+  const SearchSnapshot snap = load_snapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(snap.tt_present);
+  SearchStats prior = snap.stats;
+  prior.tt_hits = snap.tt_counters.hits;
+  prior.tt_misses = snap.tt_counters.misses;
+  prior.tt_evictions = snap.tt_counters.evictions + snap.tt_counters.rejected;
+  prior.tt_collisions = snap.tt_counters.collisions;
+
+  for (const bool budget : {true, false}) {
+    for (const int threads : {0, 1, 4}) {  // 0 = sequential
+      const std::string name = std::string(budget ? "budget" : "exhausted") +
+                               ", threads " + std::to_string(threads);
+      MetricsRegistry reg;
+      Observation ob;
+      ob.metrics = &reg;
+      Params p = base;
+      p.resume = &snap;
+      p.observe = &ob;
+      if (budget) p.rb.max_generated = snap.stats.generated + 2000;
+      SearchResult r;
+      if (threads == 0) {
+        r = solve_bnb(ctx, p);
+      } else {
+        ParallelParams pp;
+        pp.base = p;
+        pp.threads = threads;
+        r = solve_bnb_parallel(ctx, pp);
+      }
+      EXPECT_EQ(r.reason, budget ? TerminationReason::kBudget
+                                 : TerminationReason::kExhausted)
+          << name;
+      const MetricsSnapshot ms = reg.snapshot();
+      for (const SearchStatsField& f : kSearchStatsFields) {
+        const std::string metric =
+            f.metric ? std::string(f.metric)
+                     : std::string("parabb_search_") + f.name + "_total";
+        const auto* c = ms.find_counter(metric);
+        ASSERT_NE(c, nullptr) << metric;
+        EXPECT_EQ(c->value, r.stats.*(f.member) - prior.*(f.member))
+            << name << ": " << f.name;
+      }
+    }
+  }
 }
 
 // Work-stealing observability surface (ISSUE 8): an observed multi-thread

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <thread>
 
 #include "parabb/bnb/brute_force.hpp"
 #include "parabb/bnb/cancel.hpp"
+#include "parabb/ckpt/checkpoint.hpp"
 #include "parabb/sched/validator.hpp"
 #include "test_util.hpp"
 
@@ -259,6 +265,52 @@ TEST(ParallelEngine, IdleAccountingStress) {
     EXPECT_LE(r.stats.steals_succeeded, r.stats.steals_attempted)
         << "rep " << rep;
   }
+}
+
+// A checkpoint ends a round of the workers, and the next round starts from
+// the deques they left. With the controller due at every supervisor poll,
+// each round is as short as it can be, so a vertex lost or doubled
+// between rounds changes a 1-thread search's counters, and a round that
+// pauses after the last expansion must end the search instead of writing
+// empty snapshots: at 1 thread every round but the last expands at least
+// 256 vertices.
+TEST(ParallelEngine, PausedSearchIsTheSameSearch) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("parabb_paused_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  std::uint64_t single_thread_writes = 0;
+  for (const test::LedgerInstance& inst : test::ledger_corpus()) {
+    if (inst.name != "s7-loose-m2" && inst.name != "s8-tight-m2" &&
+        inst.name != "s11-tight-m2") {
+      continue;
+    }
+    const SchedContext ctx = test::make_ctx(inst.graph, inst.procs);
+    Params base;
+    base.transposition.enabled = true;
+    const Time optimum = solve_bnb(ctx, base).best_cost;
+    ParallelParams pp;
+    pp.base = base;
+    pp.threads = 1;
+    const ParallelResult unpaused = solve_bnb_parallel(ctx, pp);
+    for (const int threads : {1, 4, 8}) {
+      CheckpointController ckpt(path, /*every_ms=*/1e-9);
+      pp.base.ckpt = &ckpt;
+      pp.threads = threads;
+      const ParallelResult r = solve_bnb_parallel(ctx, pp);
+      ASSERT_TRUE(r.proved) << inst.name << ", " << threads << " threads";
+      EXPECT_EQ(r.best_cost, optimum) << inst.name;
+      if (threads != 1) continue;
+      single_thread_writes += ckpt.writes();
+      EXPECT_LE(ckpt.writes(), r.stats.expanded / 256) << inst.name;
+      for (const SearchStatsField& f : kSearchStatsFields) {
+        EXPECT_EQ(r.stats.*(f.member), unpaused.stats.*(f.member))
+            << inst.name << ": " << f.name;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(single_thread_writes, 0u);  // the rounds did pause
 }
 
 // A single-threaded work-stealing run never steals; its counters must be
