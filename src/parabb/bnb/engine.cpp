@@ -57,17 +57,18 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
   so.seed(stats);  // registry deltas cover this incarnation only
 
   // Unbudgeted runs allocate in large chunks for throughput. A finite
-  // memory budget shrinks the granularity to ~1/64 of the budget (floor
-  // 64 slots) so the capacity cliff below and the degradation ladder see
-  // the budget at fine resolution instead of overshooting it by a whole
-  // 8192-slot chunk — a sub-chunk budget would otherwise trip the cliff
-  // on the very first allocation. Every compact-layout solve thus gets
-  // the same 1 MiB default chunks, which the thread's recycler shares.
+  // memory budget shrinks the granularity to at most 1/64 of the budget
+  // so the capacity cliff below and the degradation ladder see the budget
+  // at fine resolution: the cliff counts whole chunks and the rungs live
+  // slots, so a chunk of a sixty-fourth keeps the last rung's mark (0.90
+  // of the budget) chunks below the cliff. Every compact-layout solve
+  // without a budget gets the same 1 MiB default chunks, which the
+  // thread's recycler shares.
   const std::size_t slot_bytes = vertex_bytes(ctx);
   std::size_t slots_per_chunk = 8192;
   if (params.rb.max_memory_bytes != std::numeric_limits<std::size_t>::max()) {
     const std::size_t budget_slots = params.rb.max_memory_bytes / slot_bytes;
-    slots_per_chunk = std::clamp<std::size_t>(budget_slots / 64, 64, 8192);
+    slots_per_chunk = std::clamp<std::size_t>(budget_slots / 64, 1, 8192);
   }
   SlotPool pool(slot_bytes, slots_per_chunk);
   const auto packed_state = [&pool](SlotRef ref) {
