@@ -30,8 +30,11 @@
 // (bnb/governor.hpp), shared with solve_bnb; this engine keeps its
 // frontier and its cadence. Cancellation and the generated budget are
 // polled per expanded vertex; the ladder and the memory cliff at each
-// worker's 256-expansion flush; the time limit and the checkpoint quiesce
-// by a supervisor on the calling thread.
+// worker's 256-expansion flush; the time limit and the checkpoint cadence
+// by a supervisor on the calling thread. A due checkpoint ends the
+// workers' round: each returns at its next flush or while foraging, its
+// in-hand vertex pushed back onto its deque, and once all are joined the
+// calling thread snapshots the deques in place and starts the next round.
 #pragma once
 
 #include "parabb/bnb/engine.hpp"

@@ -4,8 +4,9 @@
 // Wiring: Params::ckpt points at one controller (not owned, may be null —
 // the off path in both engines is a single null check per poll point). The
 // sequential engine consults due() at its 256-iteration poll point; the
-// parallel engine's supervisor thread consults it and runs the worker
-// quiesce protocol. request_now() is async-signal-safe (one relaxed atomic
+// parallel engine's supervisor thread consults it and ends the workers'
+// round, writing the snapshot once every worker has returned and been
+// joined. request_now() is async-signal-safe (one relaxed atomic
 // store), so a SIGTERM handler can demand an immediate final snapshot;
 // request_now(true) additionally asks the engine to stop (kCancelled)
 // *after* that snapshot is durably on disk — the ordering a clean

@@ -2,21 +2,21 @@
 //
 // A SearchSnapshot is everything either B&B engine needs to continue a run
 // after the process died: the incumbent schedule and its cost, the live
-// frontier (active-set entries for the sequential engine; the union of the
-// per-worker deque dumps for the parallel engine), the transposition-table
-// survivors, the accumulated certificate cuts, the degradation-ladder rung,
-// and the merged SearchStats. States are stored as replayable placement
-// paths (verify/certificate.hpp) rather than raw structs, so the on-disk
-// format is independent of PartialSchedule's memory layout and every load
-// re-validates each state against the scheduling operation.
+// frontier (active-set entries for the sequential engine; every worker's
+// deque, read between two worker rounds, for the parallel engine), the
+// transposition-table survivors, the accumulated certificate cuts, the
+// degradation-ladder rung, and the merged SearchStats. States are stored
+// as replayable placement paths (verify/certificate.hpp) rather than raw
+// structs, so the on-disk format is independent of PartialSchedule's
+// memory layout and every load re-validates each state against the
+// scheduling operation.
 //
 // Resume is *sound by re-derivation*: everything a resumed run could lose
 // relative to the uninterrupted one — transposition entries, incumbent
 // improvements found after the snapshot, subtrees pruned after the
 // snapshot — is re-derived from the frontier, because every vertex live at
 // snapshot time (or descended from one) is rooted in some stored frontier
-// entry. Duplicated entries (a parallel steal racing a worker dump) only
-// cost re-exploration, never correctness.
+// entry.
 //
 // On disk: "PBCK" magic, format version, payload length, CRC-32 of the
 // payload, then the little-endian payload (docs/formats.md, "Checkpoint &
@@ -85,9 +85,9 @@ struct SearchSnapshot {
 
   // -- frontier ---------------------------------------------------------
   /// ActiveSet::entries() order for the sequential engine (insertion
-  /// order for LIFO/FIFO, ascending (bound, seq) for LLB); concatenated
-  /// worker dumps (each deque oldest-to-newest, then the in-hand vertex)
-  /// for the parallel engine.
+  /// order for LIFO/FIFO, ascending (bound, seq) for LLB); for the
+  /// parallel engine, worker by worker, its in-hand vertex and then its
+  /// deque from newest to oldest.
   std::vector<SnapshotVertex> frontier;
   std::uint32_t next_seq = 0;
 
