@@ -106,6 +106,12 @@ struct SearchResult {
   /// compromise, and a normally terminated search.
   bool proved = false;
 
+  /// True when part of the tree was given up to a resource bound: a
+  /// disposal, a truncated child set or a completeness-voiding ladder
+  /// rung. Such a search did not run to its end even when it exhausted
+  /// what it kept.
+  bool compromised = false;
+
   /// A certified lower bound on the optimal cost: no schedule can beat
   /// this value. Equals `best_cost` when the search proved optimality;
   /// after a TIMELIMIT or disposal-compromised run it is the least bound

@@ -337,7 +337,8 @@ SearchResult SearchGovernor::finish(const SearchStats& stats,
     r.best = std::move(best_);
   }
   r.best_cost = cost();
-  r.proved = r.found_solution && !incomplete() &&
+  r.compromised = incomplete();
+  r.proved = r.found_solution && !r.compromised &&
              !is_interrupted(r.reason) && params_.branch == BranchRule::kBFn;
   if (params_.certify) {
     params_.certify->finish(r.found_solution, r.best, r.best_cost, r.proved,

@@ -43,10 +43,13 @@ int exit_code_for(JobOutcome o) {
   return 2;
 }
 
-JobOutcome outcome_of(TerminationReason reason, bool found_solution) {
+JobOutcome outcome_of(TerminationReason reason, bool found_solution,
+                      bool compromised) {
   if (reason == TerminationReason::kCancelled) return JobOutcome::kCancelled;
   if (!found_solution) return JobOutcome::kInfeasible;
-  if (is_interrupted(reason)) return JobOutcome::kFeasibleTimeout;
+  // A compromised search exhausted only what a resource bound let it keep.
+  if (is_interrupted(reason) || compromised)
+    return JobOutcome::kFeasibleTimeout;
   return JobOutcome::kOptimal;  // kExhausted / kBoundStop: search completed
 }
 

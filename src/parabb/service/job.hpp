@@ -43,15 +43,18 @@ void apply_budget(Params& params, const Budget& budget,
 /// Terminal outcome of a job, the service's client-facing taxonomy.
 enum class JobOutcome : std::uint8_t {
   kOptimal,          ///< search completed; result carries its guarantee
-  kFeasibleTimeout,  ///< budget expired; best incumbent returned
+  kFeasibleTimeout,  ///< a budget stopped or compromised the search;
+                     ///< best incumbent returned
   kCancelled,        ///< cancelled; any incumbent found so far returned
   kInfeasible,       ///< search completed without finding any schedule
 };
 
 std::string to_string(JobOutcome o);
 
-/// Folds an engine termination reason + solution flag into the taxonomy.
-JobOutcome outcome_of(TerminationReason reason, bool found_solution);
+/// Folds an engine termination reason, solution flag and compromise flag
+/// (SearchResult::compromised) into the taxonomy.
+JobOutcome outcome_of(TerminationReason reason, bool found_solution,
+                      bool compromised);
 
 /// Stable process exit code for CLI front ends (docs/robustness.md):
 /// optimal -> 0, feasible_timeout -> 3, cancelled -> 4, infeasible -> 5.

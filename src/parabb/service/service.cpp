@@ -289,7 +289,7 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
     out.generated = r.stats.generated;
     search_span.finish();
     out.seconds = watch.seconds();
-    out.outcome = outcome_of(out.reason, out.found);
+    out.outcome = outcome_of(out.reason, out.found, r.compromised);
     if (req.certify) {
       const ScopedSpan certify_span(config_.spans, "certify", req.id);
       out.certificate = certificate_to_text(builder.take(), req.graph);

@@ -306,7 +306,8 @@ TEST(EngineFaults, SequentialCancelStormResolvesToCancelled) {
   params.faults = &inj;
   const SearchResult r = solve_bnb(ctx, params);
   EXPECT_EQ(r.reason, TerminationReason::kCancelled);
-  EXPECT_EQ(outcome_of(r.reason, r.found_solution), JobOutcome::kCancelled);
+  EXPECT_EQ(outcome_of(r.reason, r.found_solution, r.compromised),
+            JobOutcome::kCancelled);
 }
 
 TEST(EngineFaults, SequentialClockSkewTripsTimeLimit) {
@@ -319,7 +320,7 @@ TEST(EngineFaults, SequentialClockSkewTripsTimeLimit) {
   params.rb.time_limit_s = 30.0;
   const SearchResult r = solve_bnb(ctx, params);
   EXPECT_EQ(r.reason, TerminationReason::kTimeLimit);
-  EXPECT_EQ(outcome_of(r.reason, r.found_solution),
+  EXPECT_EQ(outcome_of(r.reason, r.found_solution, r.compromised),
             JobOutcome::kFeasibleTimeout);
 }
 

@@ -19,6 +19,7 @@
 #include "parabb/verify/certificate_io.hpp"
 #include "parabb/verify/verifier.hpp"
 #include "parabb/workload/generator.hpp"
+#include "test_util.hpp"
 
 namespace parabb {
 namespace {
@@ -212,6 +213,26 @@ TEST(Service, MemoryBudgetTripsOnTheParallelEngine) {
   EXPECT_EQ(r.outcome, JobOutcome::kFeasibleTimeout);
   EXPECT_EQ(r.reason, TerminationReason::kBudget);
   ASSERT_TRUE(r.found);
+}
+
+// The ladder fires all four rungs under a 64 KiB budget and its
+// depth-first dive runs out of vertices at a schedule above the optimum:
+// the search is exhausted but compromised, so it is not optimal.
+TEST(Service, LadderCompromisedSearchIsNotOptimal) {
+  JobRequest req;
+  req.id = "ladder";
+  req.graph = test::crash_graph();
+  req.machine.procs = 2;
+  req.params.select = SelectRule::kLLB;
+  req.params.degrade = true;
+  req.budget.max_generated = 20000;
+  req.budget.max_active_bytes = 65536;
+  SolverService service({.workers = 1});
+  const JobResult r = service.wait(service.submit(std::move(req)));
+  EXPECT_EQ(r.reason, TerminationReason::kExhausted);
+  EXPECT_EQ(r.outcome, JobOutcome::kFeasibleTimeout);
+  ASSERT_TRUE(r.found);
+  EXPECT_FALSE(r.proved);
 }
 
 TEST(Service, WallClockBudgetTrips) {
@@ -606,17 +627,23 @@ TEST(Protocol, MachineFromSpecTopologies) {
 }
 
 TEST(Outcome, TaxonomyFolding) {
-  EXPECT_EQ(outcome_of(TerminationReason::kExhausted, true),
+  EXPECT_EQ(outcome_of(TerminationReason::kExhausted, true, false),
             JobOutcome::kOptimal);
-  EXPECT_EQ(outcome_of(TerminationReason::kExhausted, false),
+  EXPECT_EQ(outcome_of(TerminationReason::kExhausted, false, false),
             JobOutcome::kInfeasible);
-  EXPECT_EQ(outcome_of(TerminationReason::kTimeLimit, true),
+  EXPECT_EQ(outcome_of(TerminationReason::kTimeLimit, true, false),
             JobOutcome::kFeasibleTimeout);
-  EXPECT_EQ(outcome_of(TerminationReason::kBudget, true),
+  EXPECT_EQ(outcome_of(TerminationReason::kBudget, true, false),
             JobOutcome::kFeasibleTimeout);
-  EXPECT_EQ(outcome_of(TerminationReason::kCancelled, true),
+  EXPECT_EQ(outcome_of(TerminationReason::kCancelled, true, false),
             JobOutcome::kCancelled);
-  EXPECT_EQ(outcome_of(TerminationReason::kCancelled, false),
+  EXPECT_EQ(outcome_of(TerminationReason::kCancelled, false, false),
+            JobOutcome::kCancelled);
+  // An exhausted search that gave part of its tree up to a resource bound
+  // has no claim to optimality.
+  EXPECT_EQ(outcome_of(TerminationReason::kExhausted, true, true),
+            JobOutcome::kFeasibleTimeout);
+  EXPECT_EQ(outcome_of(TerminationReason::kCancelled, true, true),
             JobOutcome::kCancelled);
 }
 

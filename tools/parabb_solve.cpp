@@ -321,7 +321,8 @@ int main(int argc, char** argv) {
         save_certificate(builder.take(), graph, cert_path);
       }
 
-      const JobOutcome outcome = outcome_of(r.reason, r.found_solution);
+      const JobOutcome outcome =
+          outcome_of(r.reason, r.found_solution, r.compromised);
       // Stable exit-code taxonomy (docs/robustness.md): 0 optimal,
       // 3 feasible_timeout, 4 cancelled, 5 infeasible; 2 stays the
       // usage/runtime-error code. Scripts branch on the outcome without
