@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::uint64_t, std::int64_t>> incumbents;
   constexpr FlightPruneRule kRules[] = {
       FlightPruneRule::kBound, FlightPruneRule::kCharacteristic,
-      FlightPruneRule::kDominance, FlightPruneRule::kTransposition};
+      FlightPruneRule::kTransposition};
   std::array<std::uint64_t, std::size(kRules)> prunes_by_rule{};
   std::uint64_t prunes = 0;
   for (const FlightEvent& e : log) {

@@ -123,14 +123,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
   std::vector<StagedChild> staged;
   staged.reserve(static_cast<std::size_t>(ctx.task_count()) *
                  static_cast<std::size_t>(ctx.proc_count()));
-  // The D filter's per-expansion storage: the staged children unpacked,
-  // and which of them a sibling dominates.
-  std::vector<PartialSchedule> siblings;
-  std::vector<char> dead;
-  if (params.dominance) {
-    siblings.reserve(staged.capacity());
-    dead.reserve(staged.capacity());
-  }
 
   // Snapshots the active set through the governor; called from the poll
   // point. Returns true when the write was the SIGTERM path's last act.
@@ -266,37 +258,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         gov.offer(best_goal, cur, stats, so);
         inc.unplace(cur, goal_task);
         incumbent = best_goal;
-      }
-
-      // D: optional pairwise dominance filter among siblings.
-      if (params.dominance && staged.size() > 1) {
-        siblings.resize(staged.size());
-        for (std::size_t i = 0; i < staged.size(); ++i) {
-          siblings[i].unpack(ctx, packed_state(staged[i].ref));
-        }
-        dead.assign(staged.size(), 0);
-        for (std::size_t i = 0; i < staged.size(); ++i) {
-          if (dead[i]) continue;
-          for (std::size_t j = 0; j < staged.size(); ++j) {
-            if (i == j || dead[j]) continue;
-            if (params.dominance(ctx, siblings[i], siblings[j])) dead[j] = 1;
-          }
-        }
-        std::size_t w = 0;
-        for (std::size_t i = 0; i < staged.size(); ++i) {
-          if (!dead[i]) {
-            staged[w++] = staged[i];
-          } else {
-            ++stats.pruned_children;
-            so.prune(FlightPruneRule::kDominance, child_count, staged[i].lb);
-            if (params.certify) {
-              params.certify->record_cut(ctx, siblings[i],
-                                         CutRule::kDominance, staged[i].lb);
-            }
-            pool.release(staged[i].ref);
-          }
-        }
-        staged.resize(w);
       }
 
       // Step 8 applied to AS: a better incumbent invalidates queued vertices.

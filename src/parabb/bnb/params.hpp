@@ -86,12 +86,6 @@ struct ResourceBounds {
 using CharacteristicFn =
     std::function<bool(const SchedContext&, const PartialSchedule&)>;
 
-/// D — optional dominance relation among sibling child vertices: return
-/// true when `a` dominates `b` (b may be discarded). Applied pairwise
-/// within each newly generated child set only (the paper leaves D unused).
-using DominanceFn = std::function<bool(
-    const SchedContext&, const PartialSchedule& a, const PartialSchedule& b)>;
-
 struct Params {
   BranchRule branch = BranchRule::kBFn;
   SelectRule select = SelectRule::kLIFO;
@@ -123,7 +117,15 @@ struct Params {
   /// the paper's baseline configuration untouched.
   TranspositionConfig transposition;
   CharacteristicFn characteristic;  ///< F (optional)
-  DominanceFn dominance;            ///< D (optional)
+
+  /// D — processor symmetry, the one dominance relation ParaBB ships (the
+  /// paper leaves D unused). On a machine whose processors are pairwise
+  /// equally many hops apart, a task branches onto the lowest-numbered
+  /// processor that hosts no task and onto no other empty one: placing it
+  /// on another empty processor roots a renaming of the same subtree
+  /// (bnb/expand.hpp). On any other interconnect it never fires. Off by
+  /// default to keep the paper's baseline configuration untouched.
+  bool dominance = false;
 
   /// Optional cooperative cancellation token (bnb/cancel.hpp); not owned,
   /// may be null. Both engines poll it on the hot loop and return the best

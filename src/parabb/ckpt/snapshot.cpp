@@ -368,7 +368,9 @@ SearchSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
   for (CutRecord& c : s.cert_cuts) {
     c.fingerprint = r.u64();
     const std::uint8_t rule = r.u8();
-    if (rule > static_cast<std::uint8_t>(CutRule::kCharacteristic))
+    // 5 named a retired rule (verify/certificate.hpp).
+    if (rule == 5 ||
+        rule > static_cast<std::uint8_t>(CutRule::kCharacteristic))
       throw SnapshotError("unknown cut rule " + std::to_string(rule));
     c.rule = static_cast<CutRule>(rule);
     c.claimed_bound = r.i64();

@@ -26,7 +26,6 @@ std::string to_string(FlightPruneRule r) {
     case FlightPruneRule::kNone: return "none";
     case FlightPruneRule::kBound: return "bound";
     case FlightPruneRule::kCharacteristic: return "characteristic";
-    case FlightPruneRule::kDominance: return "dominance";
     case FlightPruneRule::kTransposition: return "transposition";
   }
   return "?";

@@ -40,7 +40,6 @@ enum class FlightPruneRule : std::uint8_t {
   kNone,            ///< not a prune
   kBound,           ///< lb >= BR-relaxed threshold (E_U/DBAS, stop test)
   kCharacteristic,  ///< F hook rejected the partial solution
-  kDominance,       ///< D hook: dominated by a sibling
   kTransposition,   ///< duplicate of an already-seen state
 };
 

@@ -78,6 +78,7 @@ SchedContext::SchedContext(const TaskGraph& graph, const Machine& machine)
       hop_[static_cast<std::size_t>(p) * kMaxProcs +
            static_cast<std::size_t>(q)] =
           static_cast<CTime>(machine.hops(p, q));
+      if (p != q && hop(p, q) != hop(0, 1)) uniform_hops_ = false;
     }
   }
 

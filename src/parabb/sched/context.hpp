@@ -70,6 +70,11 @@ class SchedContext {
                 static_cast<std::size_t>(q)];
   }
 
+  /// True when every pair of distinct processors is the same number of
+  /// hops apart (a shared bus, a fully connected network), so that any
+  /// renaming of the processors keeps every message delay.
+  bool uniform_hops() const noexcept { return uniform_hops_; }
+
   /// Tasks with no predecessors (ready in the empty schedule).
   TaskSet initial_ready() const noexcept { return initial_ready_; }
 
@@ -143,6 +148,7 @@ class SchedContext {
   std::vector<TaskId> pred_task_, succ_task_;
   std::vector<CTime> pred_comm_, succ_comm_;
   std::array<CTime, static_cast<std::size_t>(kMaxProcs) * kMaxProcs> hop_{};
+  bool uniform_hops_ = true;
   TaskSet initial_ready_;
 };
 

@@ -176,7 +176,7 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
   JobResult out;
   out.id = req.id;
 
-  // Jobs carrying opaque hooks (F/D) cannot be fingerprinted, so they
+  // Jobs with an opaque F hook or with D, which the request key omits,
   // bypass the cache entirely rather than risk a stale-config hit.
   // Fault-afflicted runs are injection-dependent partial results and are
   // never cached either.

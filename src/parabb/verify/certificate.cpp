@@ -13,7 +13,6 @@ std::string to_string(CutRule r) {
     case CutRule::kLB2: return "lb2";
     case CutRule::kPackingSuffix: return "packing";
     case CutRule::kTransposition: return "transposition";
-    case CutRule::kDominance: return "dominance";
     case CutRule::kCharacteristic: return "characteristic";
   }
   return "?";
@@ -25,7 +24,6 @@ CutRule cut_rule_from_string(const std::string& s) {
   if (s == "lb2") return CutRule::kLB2;
   if (s == "packing") return CutRule::kPackingSuffix;
   if (s == "transposition") return CutRule::kTransposition;
-  if (s == "dominance") return CutRule::kDominance;
   if (s == "characteristic") return CutRule::kCharacteristic;
   throw std::runtime_error("unknown cut rule: " + s);
 }

@@ -5,7 +5,7 @@
 // A certificate is the incumbent schedule plus a pruning audit log: one
 // record per cut the engines made, carrying the cut state's canonical
 // fingerprint, the rule that justified the cut (which lower bound,
-// transposition, dominance, characteristic), the claimed bound, and the
+// transposition, characteristic), the claimed bound, and the
 // placement path that reconstructs the state. Orr & Sinnen ("Optimal Task
 // Scheduling Benefits From a Duplicate-Free State-Space") document how
 // subtle pruning bugs silently return sub-optimal "optima"; the
@@ -40,8 +40,9 @@ enum class CutRule : std::uint8_t {
   kLB2,            ///< max(LB1, workload packing), path term decisive
   kPackingSuffix,  ///< LB2 where the packing term alone was decisive
   kTransposition,  ///< duplicate of a state already in the search
-  kDominance,      ///< discarded by the client's D relation (unverifiable)
-  kCharacteristic, ///< discarded by the client's F function (unverifiable)
+  /// Discarded by the client's F function (unverifiable). Snapshots store
+  /// the value, which stays 6: 5 named a retired rule.
+  kCharacteristic = 6,
 };
 
 std::string to_string(CutRule r);

@@ -33,7 +33,6 @@ int rule_kind(CutRule rule) {
     case CutRule::kLB2: return 2;
     case CutRule::kPackingSuffix: return 2;
     case CutRule::kTransposition:
-    case CutRule::kDominance:
     case CutRule::kCharacteristic: return -1;
   }
   return -1;
@@ -80,7 +79,7 @@ bool rebuild_state(const SchedContext& ctx, const CutRecord& rec,
 }
 
 /// Layer 2: audits one record. Returns false with `err` set on rejection;
-/// sets `is_hook` for dominance/characteristic records (counted, not
+/// sets `is_hook` for characteristic records (counted, not
 /// verifiable from the log alone — the optimality replay covers them).
 bool audit_cut(const SchedContext& ctx, const Certificate& cert,
                const CutRecord& rec, Time threshold, bool& is_hook,
@@ -132,7 +131,7 @@ bool audit_cut(const SchedContext& ctx, const Certificate& cert,
     return true;
   }
 
-  is_hook = true;  // dominance / characteristic
+  is_hook = true;  // characteristic
   return true;
 }
 

@@ -19,8 +19,8 @@
 //     improves, every cut an honest engine made against an intermediate
 //     incumbent still dominates the final one. Transposition cuts are
 //     audited for honesty only (their subtree is covered elsewhere, and
-//     the replay below carries its own duplicate detection); dominance /
-//     characteristic cuts come from opaque client hooks and are merely
+//     the replay below carries its own duplicate detection);
+//     characteristic cuts come from an opaque client hook and are merely
 //     counted — the replay is what keeps them honest.
 //
 //  3. Optimality replay — an exhaustive DFS over the scheduling
@@ -31,7 +31,8 @@
 //     below the threshold refutes the certificate. This layer trusts
 //     *nothing* the engine recorded except the claimed cost; it is a
 //     second solver, not a log replay, so it also covers cuts the log
-//     cannot justify (dominance, characteristic, truncation).
+//     cannot justify (characteristic, truncation) and the children D
+//     never generates.
 //
 // The replay is budgeted (VerifyOptions::max_replayed); hitting the budget
 // yields `exhausted = true` and an uncertified-but-unrefuted report.
@@ -69,7 +70,7 @@ struct VerifyReport {
 
   std::uint64_t cuts_checked = 0;   ///< records audited (all of them)
   std::uint64_t cuts_rejected = 0;  ///< records that failed the audit
-  std::uint64_t hook_cuts = 0;      ///< dominance/characteristic records
+  std::uint64_t hook_cuts = 0;      ///< characteristic records
   std::uint64_t replayed = 0;       ///< states the optimality DFS expanded
   std::uint64_t replay_pruned = 0;  ///< replay children cut by reference LB
   std::uint64_t replay_deduped = 0; ///< replay children cut as duplicates

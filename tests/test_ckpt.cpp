@@ -116,6 +116,18 @@ TEST(Snapshot, RoundTripPreservesEveryField) {
   }
 }
 
+// Snapshots store a cut's rule as its enum value. The characteristic rule
+// keeps its value 6, and 5, the value of the retired dominance rule, is
+// refused.
+TEST(Snapshot, CutRulesKeepTheirStoredValues) {
+  SearchSnapshot snap;
+  snap.cert_cuts.emplace_back().rule = CutRule::kCharacteristic;
+  EXPECT_EQ(decode_snapshot(encode_snapshot(snap)).cert_cuts[0].rule,
+            CutRule::kCharacteristic);
+  snap.cert_cuts[0].rule = static_cast<CutRule>(5);
+  EXPECT_THROW(decode_snapshot(encode_snapshot(snap)), SnapshotError);
+}
+
 TEST(Snapshot, CorruptionIsRejectedNeverACrash) {
   const ScratchDir tmp("corrupt");
   const SchedContext ctx = test::make_ctx(test::tight_instance(3), 3);

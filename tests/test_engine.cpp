@@ -5,7 +5,6 @@
 #include "parabb/bnb/active_set.hpp"
 #include "parabb/bnb/brute_force.hpp"
 #include "parabb/bnb/cancel.hpp"
-#include "parabb/bnb/hooks.hpp"
 #include "parabb/bnb/search_obs.hpp"
 #include "parabb/sched/edf.hpp"
 #include "parabb/sched/validator.hpp"
@@ -355,10 +354,9 @@ TEST(Engine, DominanceHookCanPruneSiblings) {
   const TaskGraph g = test::tiny_random(8, 6, 3);
   const SchedContext ctx = test::make_ctx(g, 2);
   Params p = optimal_params();
-  // Shipped processor-symmetry dominance (bnb/hooks.hpp): siblings that
-  // are the same schedule up to renaming of identical processors collapse
-  // to one representative.
-  p.dominance = make_processor_symmetry_dominance();
+  // Processor-symmetry dominance (bnb/expand.hpp): a task goes onto one
+  // empty processor only, since the others root renamings of its subtree.
+  p.dominance = true;
   const SearchResult r = solve_bnb(ctx, p);
   const SearchResult plain = solve_bnb(ctx, optimal_params());
   EXPECT_EQ(r.best_cost, plain.best_cost);

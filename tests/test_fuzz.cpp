@@ -8,7 +8,6 @@
 
 #include "parabb/bnb/brute_force.hpp"
 #include "parabb/bnb/engine.hpp"
-#include "parabb/bnb/hooks.hpp"
 #include "parabb/bnb/transposition.hpp"
 #include "parabb/deadline/slicing.hpp"
 #include "parabb/sched/edf.hpp"
@@ -63,7 +62,7 @@ TEST_P(Fuzz, EngineMatchesOracleUnderRandomConfigs) {
                            : UpperBoundInit::kInfinite;
     p.sort_children = rng.chance(0.5);
     p.llb_tie_newest = rng.chance(0.5);
-    if (rng.chance(0.3)) p.dominance = make_processor_symmetry_dominance();
+    if (rng.chance(0.3)) p.dominance = true;
     if (rng.chance(0.3)) p.elim = ElimRule::kNone;
 
     const SearchResult r = solve_bnb(ctx, p);
@@ -136,7 +135,7 @@ TEST_P(Fuzz, TranspositionEngineNeverPrunesTheOptimum) {
     p.ub = rng.chance(0.5) ? UpperBoundInit::kFromEDF
                            : UpperBoundInit::kInfinite;
     p.sort_children = rng.chance(0.5);
-    if (rng.chance(0.3)) p.dominance = make_processor_symmetry_dominance();
+    if (rng.chance(0.3)) p.dominance = true;
     if (rng.chance(0.3)) p.elim = ElimRule::kNone;
     p.transposition.enabled = true;
     // From a single 8-slot bucket (maximal eviction pressure) up to a

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "parabb/bnb/engine.hpp"
-#include "parabb/bnb/hooks.hpp"
 #include "parabb/deadline/slicing.hpp"
 #include "parabb/sched/edf.hpp"
 #include "parabb/workload/generator.hpp"
@@ -192,7 +191,7 @@ TEST(PaperShapes, SymmetryDominancePaysMoreAtLargerM) {
   for (int mi = 0; mi < 2; ++mi) {
     const int m = 2 + mi;
     Params with = capped();
-    with.dominance = make_processor_symmetry_dominance();
+    with.dominance = true;
     const std::vector<Totals> t = run_paired({with, capped()}, m);
     const Totals& w = t[0];
     const Totals& wo = t[1];

@@ -63,7 +63,7 @@ TEST(ParamsDefaults, ResourceBoundsAreUnlimited) {
   EXPECT_EQ(p.rb.max_active, std::numeric_limits<std::size_t>::max());
   EXPECT_EQ(p.rb.max_children, std::numeric_limits<int>::max());
   EXPECT_FALSE(static_cast<bool>(p.characteristic));
-  EXPECT_FALSE(static_cast<bool>(p.dominance));
+  EXPECT_FALSE(p.dominance);
   EXPECT_EQ(p.observe, nullptr);
   EXPECT_TRUE(p.sort_children);
   EXPECT_FALSE(p.llb_tie_newest);

@@ -105,6 +105,27 @@ TEST(Verify, TextRoundTripPreservesTheVerdict) {
   EXPECT_TRUE(verify_certificate(g, machine, parsed).certified);
 }
 
+// D leaves no cut behind, so the codec no longer knows a `dominance` rule:
+// a certificate that names one is a parse error.
+TEST(Verify, DominanceCutIsAParseError) {
+  const TaskGraph g = small_instance(1);
+  const Certificate cert =
+      certified_solve(g, make_shared_bus_machine(2), Params{});
+  std::string text = certificate_to_text(cert, g);
+  const std::size_t pos = text.find("\ncut ");
+  ASSERT_NE(pos, std::string::npos);
+  const std::size_t rule = pos + 5;
+  text.replace(rule, text.find(' ', rule) - rule, "dominance");
+  try {
+    certificate_from_text(text, g);
+    FAIL() << "a dominance cut parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown cut rule: dominance"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 /// Index of the first cut carrying a bound-rule claim, or npos.
 std::size_t first_bound_cut(const Certificate& cert) {
   for (std::size_t i = 0; i < cert.cuts.size(); ++i) {
