@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -433,6 +434,11 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
 ParallelResult solve_bnb_parallel(const SchedContext& ctx,
                                   const ParallelParams& pp) {
   PARABB_REQUIRE(pp.base.rb.max_children >= 1, "MAXSZDB must be >= 1");
+  PARABB_REQUIRE(pp.base.select == SelectRule::kLIFO,
+                 "the parallel engine dives LIFO only");
+  PARABB_REQUIRE(pp.base.rb.max_active ==
+                     std::numeric_limits<std::size_t>::max(),
+                 "the parallel engine has no MAXSZAS disposal");
 
   int threads = pp.threads;
   if (threads <= 0) {

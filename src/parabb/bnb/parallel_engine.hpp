@@ -42,15 +42,15 @@
 namespace parabb {
 
 struct ParallelParams {
-  /// Base 9-tuple. `select` is ignored (always LIFO dives); `rb.max_active`
-  /// is ignored (no disposal in the parallel engine); `dominance` is
-  /// ignored. BR, LB, branch rule, UB init, the time limit,
-  /// `rb.max_children` (MAXSZDB: a truncated child set makes the run
-  /// incomplete, as in solve_bnb), `rb.max_memory_bytes` (summed worker
-  /// slab bytes, checked at every worker flush: the stop cliff, and the
-  /// degradation-ladder signal when the ladder is on; docs/robustness.md),
-  /// `rb.max_generated` (summed across workers) and the `cancel` token
-  /// apply.
+  /// Base 9-tuple. `select` must be LIFO (the workers dive) and
+  /// `rb.max_active` unbounded (no disposal in the parallel engine); any
+  /// other value throws precondition_error. BR, LB, branch rule, D, UB
+  /// init, the time limit, `rb.max_children` (MAXSZDB: a truncated child
+  /// set makes the run incomplete, as in solve_bnb), `rb.max_memory_bytes`
+  /// (summed worker slab bytes, checked at every worker flush: the stop
+  /// cliff, and the degradation-ladder signal when the ladder is on;
+  /// docs/robustness.md), `rb.max_generated` (summed across workers) and
+  /// the `cancel` token apply.
   /// `transposition` is honored: one table is shared by every worker
   /// (lock-striped), so a state expanded by any thread is pruned as a
   /// duplicate everywhere else.

@@ -315,6 +315,22 @@ TEST(ParallelEngine, PausedSearchIsTheSameSearch) {
 
 // A single-threaded work-stealing run never steals; its counters must be
 // exactly zero (the sequential differential in test_obs relies on this).
+// The workers dive LIFO and never dispose of vertices, so the engine
+// refuses another selection rule or a MAXSZAS bound instead of ignoring
+// it.
+TEST(ParallelEngine, RefusesFieldsItCannotHonour) {
+  const SchedContext ctx = test::make_ctx(test::small_diamond(), 2);
+  ParallelParams pp;
+  pp.threads = 1;
+  for (const SelectRule s : {SelectRule::kLLB, SelectRule::kFIFO}) {
+    pp.base.select = s;
+    EXPECT_THROW(solve_bnb_parallel(ctx, pp), precondition_error);
+  }
+  pp.base.select = SelectRule::kLIFO;
+  pp.base.rb.max_active = 50;
+  EXPECT_THROW(solve_bnb_parallel(ctx, pp), precondition_error);
+}
+
 TEST(ParallelEngine, SingleThreadNeverSteals) {
   const TaskGraph g = test::tight_instance(41);
   const SchedContext ctx = test::make_ctx(g, 2);

@@ -154,6 +154,20 @@ TEST(Service, ParallelEngineJobs) {
   EXPECT_EQ(r.cost, 1);
 }
 
+// A threaded job runs on the parallel engine, which dives LIFO only: a
+// request for LLB gets an error response, not a silently different search.
+TEST(Service, ParallelJobWithAnotherSelectionRuleIsAnError) {
+  const JobRequest req = request_from_json(
+      "{\"id\":\"par-llb\",\"graph\":\"task a exec=1\\n\","
+      "\"threads\":2,\"select\":\"llb\"}");
+  SolverService service({.workers = 1});
+  const JobResult r = service.wait(service.submit(JobRequest(req)));
+  EXPECT_NE(r.error.find("LIFO"), std::string::npos) << r.error;
+  EXPECT_NE(response_to_json(r, req.graph).find("\"error\":"),
+            std::string::npos);
+  EXPECT_EQ(service.counters().errors, 1u);
+}
+
 TEST(Service, IdenticalResubmissionHitsCacheByteIdentically) {
   SolverService service({.workers = 1});
   const JobResult first = service.wait(service.submit(demo_request("a")));
@@ -205,6 +219,7 @@ TEST(Service, MemoryBudgetTrips) {
 
 TEST(Service, MemoryBudgetTripsOnTheParallelEngine) {
   JobRequest req = hard_request("m2");
+  req.params.select = SelectRule::kLIFO;  // the parallel engine's only rule
   req.threads = 2;
   req.budget.max_active_bytes = 1;  // parallel engine: summed slab bytes
   req.budget.wall_ms = 20000;       // safety net only

@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
   parser.add_option("algo",
                     "bnb | bnb-parallel | edf | etf | hlfet | edf+improve",
                     "bnb");
-  parser.add_option("select", "B&B selection rule: lifo | llb | fifo",
+  parser.add_option("select",
+                    "B&B selection rule: lifo | llb | fifo (parallel: lifo)",
                     "lifo");
   parser.add_option("branch", "B&B branching rule: bfn | bf1 | df", "bfn");
   parser.add_option("lb", "lower bound: lb0 | lb1 | lb2", "lb1");
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
   parser.add_option("ub", "initial upper bound: edf | inf | <number>",
                     "edf");
   parser.add_option("time-limit", "TIMELIMIT seconds (0 = unlimited)", "0");
-  parser.add_option("max-active", "MAXSZAS (0 = unlimited)", "0");
+  parser.add_option("max-active", "MAXSZAS (0 = unlimited; bnb only)", "0");
   parser.add_option("max-generated",
                     "budget: generated-vertex cap (0 = unlimited)", "0");
   parser.add_option("max-memory",
