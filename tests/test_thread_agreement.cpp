@@ -10,6 +10,8 @@
 //     independent verifier accepts (CERTIFIED), at 4 and 8 threads;
 //   * with MAXSZDB on, no truncated run claims a proof, and every proof
 //     holds the optimum with a CERTIFIED certificate, at 1, 4 and 8 threads;
+//   * with D on, every width proves the sequential optimum, and certified
+//     runs at 4 and 8 threads verify CERTIFIED;
 //   * budget outcomes agree: a budget generous enough for the 1-thread
 //     run to exhaust lets every width exhaust with the same cost, and a
 //     budget too small for any width trips kBudget at every width.
@@ -19,6 +21,7 @@
 
 #include <string>
 
+#include "parabb/bnb/engine.hpp"
 #include "parabb/bnb/parallel_engine.hpp"
 #include "parabb/verify/certificate.hpp"
 #include "parabb/verify/verifier.hpp"
@@ -133,6 +136,44 @@ TEST(ThreadAgreement, MaxChildrenNeverClaimsAFalseProof) {
   }
   EXPECT_GT(proved, 0);
   EXPECT_GT(unproved, 0);
+}
+
+// D (processor symmetry) lives in the expansion kernel, so the workers
+// skip renamed twins too. At every width the search must still prove the
+// optimum of a plain sequential solve, and certify it; at one thread D
+// must generate fewer vertices than a plain run.
+TEST(ThreadAgreement, DominanceKeepsTheOptimumAtEveryWidth) {
+  std::uint64_t with_d = 0;
+  std::uint64_t without_d = 0;
+  int certified = 0;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    const TaskGraph g = tight_tiny(seed);
+    const Machine machine = make_shared_bus_machine(seed % 2 == 0 ? 2 : 3);
+    const SchedContext ctx(g, machine);
+    const Time optimum = solve_bnb(ctx, Params{}).best_cost;
+    without_d += solve_with(ctx, 1).stats.generated;
+    for (const int threads : {1, 4, 8}) {
+      CertificateBuilder builder;
+      ParallelParams pp;
+      pp.threads = threads;
+      pp.base.dominance = true;
+      const bool certify = threads > 1 && seed % 3 == 0;
+      if (certify) pp.base.certify = &builder;
+      const ParallelResult r = solve_bnb_parallel(ctx, pp);
+      const std::string where = "seed " + std::to_string(seed) +
+                                " threads " + std::to_string(threads);
+      EXPECT_TRUE(r.proved) << where;
+      EXPECT_EQ(r.best_cost, optimum) << where;
+      if (threads == 1) with_d += r.stats.generated;
+      if (!certify) continue;
+      const VerifyReport report =
+          verify_certificate(g, machine, builder.take());
+      EXPECT_TRUE(report.certified) << where << ": " << report.error;
+      certified += report.certified ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(certified, 20);
+  EXPECT_LT(with_d, without_d);
 }
 
 TEST(ThreadAgreement, BudgetOutcomesAgreeAcrossWidths) {
