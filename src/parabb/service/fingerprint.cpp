@@ -42,9 +42,9 @@ std::string request_key(const JobRequest& request) {
   }
   os << '\n';
   // 9-tuple parameters that influence the search result. `observe` and
-  // `cancel` are service-owned and excluded; the F/D hooks cannot be
-  // fingerprinted, so requests carrying them must bypass the cache (the
-  // service refuses to cache them — see SolverService).
+  // `cancel` are service-owned and excluded; the F hook cannot be
+  // fingerprinted and D is left out, so requests with either bypass the
+  // cache (the service refuses to cache them — see SolverService).
   const Params& p = request.params;
   os << "params " << describe(p) << " explicit_ub=" << p.explicit_ub
      << " sort=" << p.sort_children << " llb_tie=" << p.llb_tie_newest

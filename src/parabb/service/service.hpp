@@ -18,8 +18,8 @@
 // * Budgets: each job's Budget is mapped onto the engine's resource
 //   bounds plus a per-job CancelToken polled on the search hot loop; an
 //   expired or cancelled job returns its best incumbent, never aborts.
-// * Caching: results of cacheable jobs (no F/D hooks, not cancelled, no
-//   error) are stored in a bounded LRU keyed by the canonical request
+// * Caching: results of cacheable jobs (no F hook, no D, not cancelled,
+//   no error) are stored in a bounded LRU keyed by the canonical request
 //   fingerprint; identical re-submissions are answered without searching.
 // * Completion: wait(ticket) blocks for one job; an optional on_done
 //   callback fires on the worker thread (used by parabb_serve to stream
