@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       assign_deadlines_slicing(gen.graph, setup->cfg.slicing);
       const SchedContext ctx(gen.graph, make_shared_bus_machine(m));
       const EdfResult edf = schedule_edf(ctx);
-      const BusAwareResult bus = retime_with_bus(ctx, edf.schedule);
+      const BusAwareResult bus = retime_with_bus(ctx, gen.graph, edf.schedule);
       nominal.add(static_cast<double>(edf.max_lateness));
       contended.add(static_cast<double>(bus.max_lateness));
       busy.add(static_cast<double>(bus.bus_busy));

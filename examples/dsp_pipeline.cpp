@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     const EdfResult edf = schedule_edf(ctx);
     const ListResult hlfet = schedule_hlfet(ctx);
     const SearchResult opt = solve_bnb(ctx, Params{});
-    const BusAwareResult bus = retime_with_bus(ctx, opt.best);
+    const BusAwareResult bus = retime_with_bus(ctx, graph, opt.best);
 
     table.add_row({std::to_string(m), std::to_string(edf.max_lateness),
                    std::to_string(hlfet.max_lateness),

@@ -7,15 +7,18 @@
 
 namespace parabb {
 
-BusAwareResult retime_with_bus(const SchedContext& ctx,
+BusAwareResult retime_with_bus(const SchedContext& ctx, const TaskGraph& graph,
                                const Schedule& nominal) {
-  const TaskGraph& graph = ctx.graph();
   const int n = ctx.task_count();
-  PARABB_REQUIRE(nominal.task_count() == n, "schedule/context mismatch");
-  PARABB_REQUIRE(!ctx.machine().topology ||
-                     ctx.machine().topology->diameter() <= 1,
-                 "bus re-timing models a single shared medium; use 1-hop "
-                 "topologies");
+  PARABB_REQUIRE(nominal.task_count() == n && graph.task_count() == n,
+                 "schedule/context mismatch");
+  for (ProcId p = 0; p < ctx.proc_count(); ++p) {
+    for (ProcId q = 0; q < ctx.proc_count(); ++q) {
+      PARABB_REQUIRE(ctx.hop(p, q) <= 1,
+                     "bus re-timing models a single shared medium; use 1-hop "
+                     "topologies");
+    }
+  }
 
   // Fixed assignment + per-processor order from the nominal schedule.
   std::vector<std::vector<TaskId>> order(
@@ -26,7 +29,7 @@ BusAwareResult retime_with_bus(const SchedContext& ctx,
     }
   }
 
-  SharedBus bus(ctx.machine().comm.per_item_delay());
+  SharedBus bus(ctx.comm().per_item_delay());
   std::vector<Time> start(static_cast<std::size_t>(n), -1);
   std::vector<Time> finish(static_cast<std::size_t>(n), -1);
   std::vector<std::size_t> next(static_cast<std::size_t>(ctx.proc_count()), 0);
@@ -91,7 +94,7 @@ BusAwareResult retime_with_bus(const SchedContext& ctx,
                                     finish[ut]});
   }
   out.schedule = Schedule::from_entries(n, std::move(entries));
-  out.max_lateness = max_lateness(out.schedule, graph);
+  out.max_lateness = max_lateness(out.schedule, ctx);
   out.bus_busy = bus.utilization();
   return out;
 }

@@ -20,10 +20,12 @@ struct BusAwareResult {
   std::size_t messages = 0; ///< cross-processor transfers serialized
 };
 
-/// Re-times `nominal` on `machine` with an explicit shared bus whose
-/// per-item delay equals the machine's nominal per-item delay. Messages are
-/// granted bus slots in increasing producer-finish order (deterministic).
-BusAwareResult retime_with_bus(const SchedContext& ctx,
+/// Re-times `nominal` on the context's machine with an explicit shared bus
+/// whose per-item delay equals the machine's nominal per-item delay. The
+/// message sizes come from `graph`, the graph `ctx` was built from.
+/// Messages are granted bus slots in increasing producer-finish order
+/// (deterministic).
+BusAwareResult retime_with_bus(const SchedContext& ctx, const TaskGraph& graph,
                                const Schedule& nominal);
 
 }  // namespace parabb

@@ -94,13 +94,13 @@ ImproveResult improve_schedule(const SchedContext& ctx,
   Orders orders = orders_of(ctx, initial);
   ImproveResult out;
   out.schedule = initial;
-  out.max_lateness = max_lateness(initial, ctx.graph());
+  out.max_lateness = max_lateness(initial, ctx);
 
   auto try_orders = [&](const Orders& candidate) -> bool {
     ++out.moves_evaluated;
     const std::optional<Schedule> retimed = retime_orders(ctx, candidate);
     if (!retimed) return false;
-    const Time cost = max_lateness(*retimed, ctx.graph());
+    const Time cost = max_lateness(*retimed, ctx);
     if (cost >= out.max_lateness) return false;
     out.schedule = *retimed;
     out.max_lateness = cost;

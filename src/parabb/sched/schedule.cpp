@@ -72,6 +72,16 @@ Time max_lateness(const Schedule& s, const TaskGraph& graph) {
   return worst;
 }
 
+Time max_lateness(const Schedule& s, const SchedContext& ctx) {
+  PARABB_REQUIRE(s.task_count() == ctx.task_count(),
+                 "schedule/context task count mismatch");
+  Time worst = kTimeNegInf;
+  for (TaskId t = 0; t < s.task_count(); ++t) {
+    worst = std::max(worst, s.entry(t).finish - Time{ctx.deadline(t)});
+  }
+  return worst;
+}
+
 Time makespan(const Schedule& s) {
   Time end = 0;
   for (TaskId t = 0; t < s.task_count(); ++t)

@@ -49,6 +49,8 @@ class Schedule {
 
 /// L_max = max_i (f_i - D_i) against the graph's absolute deadlines.
 Time max_lateness(const Schedule& s, const TaskGraph& graph);
+/// The same against the deadlines the context holds.
+Time max_lateness(const Schedule& s, const SchedContext& ctx);
 
 /// Completion time of the last task.
 Time makespan(const Schedule& s);

@@ -87,7 +87,7 @@ SimulationReport simulate_schedule(const SchedContext& ctx,
   PARABB_REQUIRE(config.runs >= 1, "at least one simulation run required");
 
   SimulationReport report;
-  report.planned_lateness = max_lateness(planned, ctx.graph());
+  report.planned_lateness = max_lateness(planned, ctx);
 
   Rng rng(config.seed);
   const int n = ctx.task_count();
@@ -102,7 +102,7 @@ SimulationReport simulate_schedule(const SchedContext& ctx,
     }
     const Schedule realized = replay_with_exec_times(ctx, planned, actual);
     SimulationRun sr;
-    sr.max_lateness = max_lateness(realized, ctx.graph());
+    sr.max_lateness = max_lateness(realized, ctx);
     sr.makespan = makespan(realized);
     report.lateness.add(static_cast<double>(sr.max_lateness));
     report.makespan.add(static_cast<double>(sr.makespan));

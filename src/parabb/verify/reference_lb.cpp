@@ -43,13 +43,12 @@ std::vector<TaskId> own_topo_order(const TaskGraph& g) {
 
 }  // namespace
 
-Time reference_lower_bound(const SchedContext& ctx,
+Time reference_lower_bound(const TaskGraph& g, const SchedContext& ctx,
                            const PartialSchedule& ps, int lb_kind) {
   if (lb_kind < 0 || lb_kind > 2) {
     throw std::runtime_error("reference_lb: unknown lb kind " +
                              std::to_string(lb_kind));
   }
-  const TaskGraph& g = ctx.graph();
   const int n = g.task_count();
 
   // l_min: the earliest time any processor frees up. Under the append-only
@@ -82,14 +81,13 @@ Time reference_lower_bound(const SchedContext& ctx,
   }
 
   if (lb_kind == 2) {
-    worst = std::max(worst, reference_packing_bound(ctx, ps));
+    worst = std::max(worst, reference_packing_bound(g, ctx, ps));
   }
   return worst;
 }
 
-Time reference_packing_bound(const SchedContext& ctx,
+Time reference_packing_bound(const TaskGraph& g, const SchedContext& ctx,
                              const PartialSchedule& ps) {
-  const TaskGraph& g = ctx.graph();
   const int n = g.task_count();
   const Time m = ctx.proc_count();
 
@@ -121,9 +119,8 @@ Time reference_packing_bound(const SchedContext& ctx,
   return worst;
 }
 
-Time reference_exact_cost(const SchedContext& ctx,
+Time reference_exact_cost(const TaskGraph& g, const SchedContext& ctx,
                           const PartialSchedule& ps) {
-  const TaskGraph& g = ctx.graph();
   if (!ps.complete(ctx)) {
     throw std::runtime_error("reference_exact_cost: state is incomplete");
   }

@@ -22,21 +22,22 @@
 #include "parabb/sched/context.hpp"
 #include "parabb/sched/partial_schedule.hpp"
 #include "parabb/support/types.hpp"
+#include "parabb/taskgraph/graph.hpp"
 
 namespace parabb {
 
-/// Reference bound of `kind` (0, 1 or 2) for `ps`. Throws
-/// std::runtime_error on a kind outside [0, 2].
-Time reference_lower_bound(const SchedContext& ctx,
+/// Reference bound of `kind` (0, 1 or 2) for `ps`, a state of `ctx` built
+/// from `graph`. Throws std::runtime_error on a kind outside [0, 2].
+Time reference_lower_bound(const TaskGraph& graph, const SchedContext& ctx,
                            const PartialSchedule& ps, int lb_kind);
 
 /// The LB2 packing term alone (kTimeNegInf when everything is scheduled).
-Time reference_packing_bound(const SchedContext& ctx,
+Time reference_packing_bound(const TaskGraph& graph, const SchedContext& ctx,
                              const PartialSchedule& ps);
 
 /// Exact maximum lateness of a *complete* state, recomputed from the raw
 /// starts (not via max_lateness_scheduled). Throws on incomplete states.
-Time reference_exact_cost(const SchedContext& ctx,
+Time reference_exact_cost(const TaskGraph& graph, const SchedContext& ctx,
                           const PartialSchedule& ps);
 
 }  // namespace parabb

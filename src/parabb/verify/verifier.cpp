@@ -81,9 +81,9 @@ bool rebuild_state(const SchedContext& ctx, const CutRecord& rec,
 /// Layer 2: audits one record. Returns false with `err` set on rejection;
 /// sets `is_hook` for characteristic records (counted, not
 /// verifiable from the log alone — the optimality replay covers them).
-bool audit_cut(const SchedContext& ctx, const Certificate& cert,
-               const CutRecord& rec, Time threshold, bool& is_hook,
-               std::string& err) {
+bool audit_cut(const TaskGraph& graph, const SchedContext& ctx,
+               const Certificate& cert, const CutRecord& rec, Time threshold,
+               bool& is_hook, std::string& err) {
   is_hook = false;
   PartialSchedule state;
   if (!rebuild_state(ctx, rec, state, err)) return false;
@@ -96,7 +96,7 @@ bool audit_cut(const SchedContext& ctx, const Certificate& cert,
             std::to_string(cert.lb_kind);
       return false;
     }
-    const Time ref = reference_lower_bound(ctx, state, kind);
+    const Time ref = reference_lower_bound(graph, ctx, state, kind);
     if (rec.claimed_bound > ref) {
       err = "claimed bound " + std::to_string(rec.claimed_bound) +
             " exceeds the reference " + to_string(rec.rule) + " bound " +
@@ -110,7 +110,7 @@ bool audit_cut(const SchedContext& ctx, const Certificate& cert,
       return false;
     }
     if (rec.rule == CutRule::kPackingSuffix &&
-        reference_packing_bound(ctx, state) < threshold) {
+        reference_packing_bound(graph, ctx, state) < threshold) {
       err = "packing-suffix cut whose packing term does not dominate "
             "the incumbent";
       return false;
@@ -121,7 +121,7 @@ bool audit_cut(const SchedContext& ctx, const Certificate& cert,
   if (rec.rule == CutRule::kTransposition) {
     // A duplicate cut is sound because the subtree entered the search
     // elsewhere; only honesty of the recorded bound is checkable here.
-    const Time ref = reference_lower_bound(ctx, state, cert.lb_kind);
+    const Time ref = reference_lower_bound(graph, ctx, state, cert.lb_kind);
     if (rec.claimed_bound > ref) {
       err = "transposition cut claims bound " +
             std::to_string(rec.claimed_bound) +
@@ -194,7 +194,7 @@ VerifyReport verify_certificate(const TaskGraph& graph,
     ++report.cuts_checked;
     bool is_hook = false;
     std::string err;
-    if (!audit_cut(ctx, cert, rec, threshold, is_hook, err)) {
+    if (!audit_cut(graph, ctx, cert, rec, threshold, is_hook, err)) {
       ++report.cuts_rejected;
       report.cuts_sound = false;
       if (report.error.empty()) {
@@ -213,7 +213,7 @@ VerifyReport verify_certificate(const TaskGraph& graph,
     std::vector<PartialSchedule> stack;
     std::unordered_map<std::uint64_t, std::vector<PartialSchedule>> seen;
     const PartialSchedule root = PartialSchedule::empty(ctx);
-    if (reference_lower_bound(ctx, root, cert.lb_kind) < threshold) {
+    if (reference_lower_bound(graph, ctx, root, cert.lb_kind) < threshold) {
       stack.push_back(root);
       seen[root.fingerprint()].push_back(root);
     } else {
@@ -233,7 +233,7 @@ VerifyReport verify_certificate(const TaskGraph& graph,
           child.place(ctx, t, p);
           if (child.complete(ctx)) {
             ++report.goals_seen;
-            const Time cost = reference_exact_cost(ctx, child);
+            const Time cost = reference_exact_cost(graph, ctx, child);
             if (cost < threshold) {
               refuted = true;
               report.error = "replay found a schedule with lateness " +
@@ -243,7 +243,7 @@ VerifyReport verify_certificate(const TaskGraph& graph,
             }
             continue;
           }
-          if (reference_lower_bound(ctx, child, cert.lb_kind) >=
+          if (reference_lower_bound(graph, ctx, child, cert.lb_kind) >=
               threshold) {
             ++report.replay_pruned;
             continue;

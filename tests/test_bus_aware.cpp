@@ -15,7 +15,7 @@ TEST(BusAware, NoCrossTrafficMeansNoChange) {
   const TaskGraph g = test::small_diamond();
   const SchedContext ctx = test::make_ctx(g, 1);
   const EdfResult edf = schedule_edf(ctx);
-  const BusAwareResult r = retime_with_bus(ctx, edf.schedule);
+  const BusAwareResult r = retime_with_bus(ctx, g, edf.schedule);
   EXPECT_EQ(r.messages, 0u);
   EXPECT_EQ(r.bus_busy, 0);
   EXPECT_EQ(r.max_lateness, edf.max_lateness);
@@ -30,7 +30,7 @@ TEST(BusAware, ContentionCanOnlyDelay) {
   assign_deadlines_slicing(g);
   const SchedContext ctx = test::make_ctx(g, 4);
   const EdfResult edf = schedule_edf(ctx);
-  const BusAwareResult r = retime_with_bus(ctx, edf.schedule);
+  const BusAwareResult r = retime_with_bus(ctx, g, edf.schedule);
   for (TaskId t = 0; t < ctx.task_count(); ++t) {
     EXPECT_GE(r.schedule.entry(t).start, edf.schedule.entry(t).start);
   }
@@ -43,7 +43,7 @@ TEST(BusAware, PreservesAssignmentAndOrder) {
   const TaskGraph g = test::paper_instance(17);
   const SchedContext ctx = test::make_ctx(g, 3);
   const EdfResult edf = schedule_edf(ctx);
-  const BusAwareResult r = retime_with_bus(ctx, edf.schedule);
+  const BusAwareResult r = retime_with_bus(ctx, g, edf.schedule);
   for (TaskId t = 0; t < ctx.task_count(); ++t) {
     EXPECT_EQ(r.schedule.entry(t).proc, edf.schedule.entry(t).proc);
   }
@@ -64,7 +64,7 @@ TEST_P(BusAwareSweep, RetimedScheduleRespectsPrecedenceAndArrivals) {
   const Machine machine = make_shared_bus_machine(3);
   const SchedContext ctx(g, machine);
   const EdfResult edf = schedule_edf(ctx);
-  const BusAwareResult r = retime_with_bus(ctx, edf.schedule);
+  const BusAwareResult r = retime_with_bus(ctx, g, edf.schedule);
   // The retimed schedule still satisfies the *nominal* model's constraints
   // (bus serialization only adds delay beyond nominal).
   const ValidationReport rep = validate_schedule(r.schedule, g, machine);
