@@ -99,6 +99,47 @@ TEST(SlotPool, MemoryAccountingGrowsMonotonically) {
   EXPECT_GT(pool.memory_bytes(), m0);
 }
 
+// memory_bytes() feeds the effort ledger's peak_memory_bytes, the memory
+// cliff and the degradation ladder, so it must read what it read when each
+// chunk zero-filled its generation counters: k chunks of payload plus a
+// counter array whose capacity grew as a vector resized one chunk at a
+// time does, to 1, 2, 4, 4 and 8 chunks' worth after 1 to 5 chunks. The
+// chunk sizes are solve_bnb's default and budgeted ones (a 48 KiB budget
+// of 128-byte vertices gives 6-slot chunks) and SlotPool's own default.
+TEST(SlotPool, MemoryBytesAfterWholeChunksAreUnchanged) {
+  constexpr std::size_t kSlotBytes = 128;
+  constexpr std::size_t kCounterChunks[] = {1, 2, 4, 4, 8};
+  for (const std::size_t per_chunk : {8192u, 4096u, 64u, 8u, 6u, 1u}) {
+    SlotPool pool(kSlotBytes, per_chunk);
+    for (std::size_t chunks = 1; chunks <= 5; ++chunks) {
+      const std::size_t expected = chunks * per_chunk * kSlotBytes +
+                                   kCounterChunks[chunks - 1] * per_chunk * 4;
+      pool.allocate();  // the first slot of chunk `chunks`
+      ASSERT_EQ(pool.capacity(), chunks * per_chunk);
+      EXPECT_EQ(pool.memory_bytes(), expected)
+          << per_chunk << "-slot chunks, " << chunks << " chunk(s)";
+      while (pool.live_count() < pool.capacity()) pool.allocate();
+      EXPECT_EQ(pool.memory_bytes(), expected)
+          << per_chunk << "-slot chunks, " << chunks << " full chunk(s)";
+    }
+  }
+}
+
+// Counters are written as slots are first handed out; a reset must still
+// invalidate every handle, and a slot first handed out after the reset
+// must be live.
+TEST(SlotPool, ResetBeforeAChunkIsFullInvalidatesEveryHandle) {
+  SlotPool pool(16, 8);
+  std::vector<SlotRef> before;
+  for (int i = 0; i < 3; ++i) before.push_back(pool.allocate());
+  pool.reset();
+  std::vector<SlotRef> after;
+  for (int i = 0; i < 8; ++i) after.push_back(pool.allocate());
+  for (const SlotRef r : before) EXPECT_FALSE(pool.is_live(r));
+  for (const SlotRef r : after) EXPECT_TRUE(pool.is_live(r));
+  EXPECT_EQ(pool.capacity(), 8u);
+}
+
 TEST(SlotPool, ResetInvalidatesEverything) {
   SlotPool pool(16);
   const SlotRef a = pool.allocate();
