@@ -27,10 +27,21 @@ namespace detail {
                expr, file, line);
   std::abort();
 }
-[[noreturn]] inline void require_fail(const char* expr, const char* file,
-                                      int line, const std::string& msg) {
-  throw precondition_error("parabb: precondition failed: " + msg + " [" +
-                           expr + "] at " + file + ":" + std::to_string(line));
+/// `path` without its directories.
+constexpr const char* file_basename(const char* path) noexcept {
+  const char* base = path;
+  for (const char* c = path; *c != '\0'; ++c) {
+    if (*c == '/') base = c + 1;
+  }
+  return base;
+}
+/// The message a caller sees (front ends print it, the service returns
+/// it): the precondition's text and the file name and line that raised
+/// it, with neither the C++ expression nor the build's directories.
+[[noreturn]] inline void require_fail(const char* file, int line,
+                                      const std::string& msg) {
+  throw precondition_error("parabb: precondition failed: " + msg + " at " +
+                           file_basename(file) + ":" + std::to_string(line));
 }
 }  // namespace detail
 
@@ -44,4 +55,4 @@ namespace detail {
 /// API precondition; violation is caller misuse -> throws precondition_error.
 #define PARABB_REQUIRE(expr, msg)                             \
   ((expr) ? static_cast<void>(0)                              \
-          : ::parabb::detail::require_fail(#expr, __FILE__, __LINE__, (msg)))
+          : ::parabb::detail::require_fail(__FILE__, __LINE__, (msg)))

@@ -1,5 +1,6 @@
 #include "parabb/taskgraph/io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -71,15 +72,23 @@ std::string to_tgf(const TaskGraph& graph) {
 TaskGraph from_tgf(const std::string& text) {
   TaskGraph g;
   std::map<std::string, TaskId> by_name;
-  std::istringstream in(text);
-  std::string line;
   int lineno = 0;
-  while (std::getline(in, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
     ++lineno;
-    std::istringstream ls(line);
+    if (end - pos > kMaxTgfLineBytes) {
+      parse_fail(lineno, "line longer than " +
+                             std::to_string(kMaxTgfLineBytes) + " bytes");
+    }
+    std::istringstream ls(text.substr(pos, end - pos));
+    pos = end + 1;
     std::string kind;
     if (!(ls >> kind) || kind[0] == '#') continue;
     if (kind == "task") {
+      if (g.task_count() == kMaxTgfTasks) {
+        parse_fail(lineno, "more than " + std::to_string(kMaxTgfTasks) +
+                               " tasks");
+      }
       std::string name;
       if (!(ls >> name)) parse_fail(lineno, "task needs a name");
       if (by_name.contains(name)) parse_fail(lineno, "duplicate task " + name);
@@ -108,6 +117,10 @@ TaskGraph from_tgf(const std::string& text) {
       if (t.exec < 0) parse_fail(lineno, "negative exec");
       by_name[name] = g.add_task(std::move(t));
     } else if (kind == "arc") {
+      if (g.arc_count() == kMaxTgfArcs) {
+        parse_fail(lineno, "more than " + std::to_string(kMaxTgfArcs) +
+                               " arcs");
+      }
       std::string from, to;
       if (!(ls >> from >> to)) parse_fail(lineno, "arc needs two endpoints");
       if (!by_name.contains(from)) parse_fail(lineno, "unknown task " + from);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
+#include "parabb/support/json.hpp"
 #include "parabb/taskgraph/builder.hpp"
 #include "parabb/workload/generator.hpp"
 
@@ -127,6 +131,97 @@ TEST(Tgf, FileRoundTrip) {
 
 TEST(Tgf, LoadMissingFileThrows) {
   EXPECT_THROW(load_tgf("/no/such/file.tgf"), std::runtime_error);
+}
+
+/// `n` task lines t0..t{n-1}.
+std::string task_lines(int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += "task t" + std::to_string(i) + " exec=1\n";
+  return out;
+}
+
+/// The message from_tgf(text) throws (empty if it parses).
+std::string tgf_error(const std::string& text) {
+  try {
+    from_tgf(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(TgfCaps, SixtyFourTasksLoadAndTheSixtyFifthIsRefusedAtItsLine) {
+  EXPECT_EQ(from_tgf(task_lines(kMaxTgfTasks)).task_count(), kMaxTgfTasks);
+  const std::string msg = tgf_error("# header\n" + task_lines(kMaxTgfTasks + 1));
+  EXPECT_NE(msg.find("tgf parse error at line 66"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("more than 64 tasks"), std::string::npos) << msg;
+}
+
+TEST(TgfCaps, ACompleteDagLoadsAndOneMoreArcIsRefusedAtItsLine) {
+  std::string text = task_lines(kMaxTgfTasks);
+  for (int i = 0; i < kMaxTgfTasks; ++i) {
+    for (int j = i + 1; j < kMaxTgfTasks; ++j) {
+      text += "arc t" + std::to_string(i) + " t" + std::to_string(j) + "\n";
+    }
+  }
+  EXPECT_EQ(from_tgf(text).arc_count(), kMaxTgfArcs);
+  const std::string msg = tgf_error(text + "arc t1 t0\n");
+  const int line = kMaxTgfTasks + kMaxTgfArcs + 1;
+  EXPECT_NE(msg.find("tgf parse error at line " + std::to_string(line)),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("more than 2016 arcs"), std::string::npos) << msg;
+}
+
+TEST(TgfCaps, ALineAtTheCapLoadsAndALongerOneIsRefusedAtItsLine) {
+  const std::string at_cap = "#" + std::string(kMaxTgfLineBytes - 1, 'x');
+  EXPECT_EQ(from_tgf("task a exec=1\n" + at_cap + "\n").task_count(), 1);
+  EXPECT_EQ(from_tgf("task a exec=1\n" + at_cap).task_count(), 1);
+  const std::string msg = tgf_error("task a exec=1\n" + at_cap + "x\n");
+  EXPECT_NE(msg.find("tgf parse error at line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line longer than 4096 bytes"), std::string::npos)
+      << msg;
+}
+
+// The checked-in corpora stay within the caps.
+TEST(TgfCaps, CheckedInGraphsStillLoad) {
+  const std::filesystem::path root = PARABB_SOURCE_DIR;
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root / "tests" / "data")) {
+    if (entry.path().extension() != ".tgf") continue;
+    EXPECT_NO_THROW(load_tgf(entry.path().string())) << entry.path();
+    ++files;
+  }
+  EXPECT_GE(files, 2);
+
+  std::ifstream in(root / "tools" / "serve_smoke_requests.jsonl");
+  ASSERT_TRUE(in) << "missing tools/serve_smoke_requests.jsonl";
+  // Some lines are deliberately malformed requests: those that are not
+  // JSON are skipped, and the graphs of the "bad*" ids must fail as they
+  // always did, not at a cap.
+  int graphs = 0;
+  for (std::string line; std::getline(in, line);) {
+    JsonValue doc;
+    try {
+      doc = JsonValue::parse(line);
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    const JsonValue* id = doc.find("id");
+    const JsonValue* graph = doc.find("graph");
+    if (!id || !graph) continue;
+    if (id->as_string().starts_with("bad")) {
+      const std::string msg = tgf_error(graph->as_string());
+      EXPECT_FALSE(msg.empty()) << line;
+      EXPECT_EQ(msg.find("more than"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("longer than"), std::string::npos) << msg;
+      continue;
+    }
+    EXPECT_NO_THROW(from_tgf(graph->as_string())) << line;
+    ++graphs;
+  }
+  EXPECT_EQ(graphs, 51);
 }
 
 TEST(Dot, ContainsNodesAndEdges) {

@@ -168,6 +168,29 @@ TEST(Service, ParallelJobWithAnotherSelectionRuleIsAnError) {
   EXPECT_EQ(service.counters().errors, 1u);
 }
 
+// A refused instance's precondition message reaches the client as it is:
+// it names the limit and the file and line that raised it, but neither the
+// C++ expression (no '[') nor the build's directories (no '/').
+TEST(Service, OversizedGraphErrorNamesTheLimitWithoutPathsOrExpressions) {
+  std::string tgf;
+  for (int i = 0; i <= kMaxTasks; ++i) {
+    tgf += "task t" + std::to_string(i) + " exec=1\n";
+  }
+  JobRequest req = demo_request("wide");
+  req.graph = from_tgf(tgf);
+  ASSERT_EQ(req.graph.task_count(), 33);
+  SolverService service({.workers = 1});
+  const JobResult r = service.wait(service.submit(JobRequest(req)));
+  EXPECT_NE(r.error.find("kMaxTasks"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("context.cpp:"), std::string::npos) << r.error;
+  EXPECT_EQ(r.error.find('/'), std::string::npos) << r.error;
+  EXPECT_EQ(r.error.find('['), std::string::npos) << r.error;
+  const std::string response = response_to_json(r, req.graph);
+  EXPECT_NE(response.find("kMaxTasks"), std::string::npos) << response;
+  EXPECT_EQ(response.find('/'), std::string::npos) << response;
+  EXPECT_EQ(response.find('['), std::string::npos) << response;
+}
+
 TEST(Service, IdenticalResubmissionHitsCacheByteIdentically) {
   SolverService service({.workers = 1});
   const JobResult first = service.wait(service.submit(demo_request("a")));
