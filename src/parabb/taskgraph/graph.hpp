@@ -45,6 +45,9 @@ class TaskGraph {
   /// Direct successors of t with the message size on each arc.
   std::span<const Arc> succs(TaskId t) const;
 
+  /// All tasks in id order.
+  std::span<const Task> tasks() const noexcept { return tasks_; }
+
   /// All arcs in insertion order.
   std::span<const Channel> arcs() const noexcept { return arcs_; }
 
