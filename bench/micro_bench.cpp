@@ -3,7 +3,8 @@
 // Covers the operations whose per-call cost bounds B&B throughput: the
 // scheduling operation (placement), the lower-bound evaluations, the
 // active-set disciplines, the vertex pool and its state encoding, plus
-// end-to-end baselines.
+// end-to-end baselines and the per-solve fixed cost of building a
+// SchedContext.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -59,6 +60,21 @@ void BM_LowerBound(benchmark::State& state) {
 BENCHMARK(BM_LowerBound<LowerBound::kLB0>)->Name("BM_LowerBound_LB0");
 BENCHMARK(BM_LowerBound<LowerBound::kLB1>)->Name("BM_LowerBound_LB1");
 BENCHMARK(BM_LowerBound<LowerBound::kLB2>)->Name("BM_LowerBound_LB2");
+
+// The per-solve fixed cost every solve pays before its search: building
+// the context of a §4.1 graph with n tasks (the argument) on 4 processors.
+void BM_SchedContext(benchmark::State& state) {
+  GeneratorConfig wl = paper_config();
+  wl.n_min = wl.n_max = static_cast<int>(state.range(0));
+  GeneratedGraph gen = generate_graph(wl, 11);
+  assign_deadlines_slicing(gen.graph);
+  const Machine machine = make_shared_bus_machine(4);
+  for (auto _ : state) {
+    const SchedContext ctx(gen.graph, machine);
+    benchmark::DoNotOptimize(&ctx);
+  }
+}
+BENCHMARK(BM_SchedContext)->Arg(12)->Arg(16);
 
 void BM_EdfSchedule(benchmark::State& state) {
   const TaskGraph g = bench_graph(3);
