@@ -4,12 +4,6 @@
 
 namespace parabb {
 
-int Machine::hops(ProcId p, ProcId q) const {
-  if (p == q) return 0;
-  if (!topology) return 1;
-  return topology->hops(p, q);
-}
-
 Time Machine::comm_delay(ProcId p, ProcId q, Time items) const {
   if (p == q) return 0;
   return comm.delay(items) * hops(p, q);

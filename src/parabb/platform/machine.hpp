@@ -54,7 +54,10 @@ struct Machine {
   std::optional<NetworkTopology> topology;
 
   /// Store-and-forward hops between two processors (0 iff equal).
-  int hops(ProcId p, ProcId q) const;
+  int hops(ProcId p, ProcId q) const {
+    if (p == q) return 0;
+    return topology ? topology->hops(p, q) : 1;
+  }
 
   /// Nominal delay of a message of `items` between p and q:
   /// items × per-item delay × hops(p, q). Zero on the same processor.
