@@ -139,9 +139,6 @@ int main(int argc, char** argv) {
   parser.add_option("max-memory",
                     "budget: active-set pool bytes (0 = unlimited)", "0");
   parser.add_option("threads", "workers for bnb-parallel (0 = hw)", "0");
-  parser.add_option("workers",
-                    "alias for --threads; takes precedence when nonzero",
-                    "0");
   parser.add_option("slice",
                     "assign deadlines by slicing with this laxity ratio "
                     "before solving (0 = keep the file's windows)",
@@ -303,9 +300,7 @@ int main(int argc, char** argv) {
       } else {
         ParallelParams pp;
         pp.base = params;
-        const auto workers = parser.get_int("workers");
-        pp.threads = static_cast<int>(workers != 0 ? workers
-                                                   : parser.get_int("threads"));
+        pp.threads = static_cast<int>(parser.get_int("threads"));
         ParallelResult pr = solve_bnb_parallel(ctx, pp);
         engine_info = std::to_string(pr.threads_used) + " threads";
         r = std::move(pr);
