@@ -9,19 +9,14 @@ std::optional<JobResult> ResultCache::lookup(std::uint64_t fp,
                                              const std::string& key) {
   const std::lock_guard lock(mutex_);
   const auto it = index_.find(fp);
-  if (it == index_.end()) {
-    ++counters_.misses;
-    return std::nullopt;
-  }
+  if (it == index_.end()) return std::nullopt;
   if (it->second->key != key) {
     // Distinct requests colliding on the 64-bit fingerprint: a miss, and
     // counted so an implausible collision rate is visible in the summary.
     ++counters_.collisions;
-    ++counters_.misses;
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  ++counters_.hits;
   return it->second->result;
 }
 

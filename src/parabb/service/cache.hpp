@@ -20,10 +20,9 @@
 
 namespace parabb {
 
-/// Monotone cache counters (snapshot via ResultCache::counters()).
+/// Monotone cache counters (snapshot via ResultCache::counters()). Hits
+/// and misses are the service's to count (parabb_service_cache_*_total).
 struct CacheCounters {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::uint64_t collisions = 0;  ///< fingerprint match, key mismatch

@@ -41,12 +41,13 @@ std::string request_key(const JobRequest& request) {
     }
   }
   os << '\n';
-  // 9-tuple parameters that influence the search result. `observe` and
-  // `cancel` are service-owned and excluded; the F hook cannot be
-  // fingerprinted and D is left out, so requests with either bypass the
-  // cache (the service refuses to cache them — see SolverService).
+  // 9-tuple parameters that influence the search result, D included.
+  // The hook pointers are service-owned and excluded; the F hook cannot
+  // be fingerprinted, so requests with one bypass the cache (see
+  // SolverService).
   const Params& p = request.params;
-  os << "params " << describe(p) << " explicit_ub=" << p.explicit_ub
+  os << "params " << describe(p) << " D=" << p.dominance
+     << " explicit_ub=" << p.explicit_ub
      << " sort=" << p.sort_children << " llb_tie=" << p.llb_tie_newest
      << " tt=" << p.transposition.enabled << '/'
      << p.transposition.memory_cap_bytes << '/' << p.transposition.shards

@@ -68,7 +68,10 @@ struct JobRequest {
   std::string id;     ///< client-chosen tag, echoed in the response
   TaskGraph graph;
   Machine machine;
-  Params params;      ///< `observe` and `cancel` are service-owned: ignored
+  /// The service owns every run-time attachment: all seven hook pointers
+  /// (`cancel`, `certify`, `observe`, `faults`, `ckpt`, `resume`,
+  /// `progress`) are ignored.
+  Params params;
   int threads = 1;    ///< 1 = sequential engine; >1 = parallel engine
   int priority = 0;   ///< higher admits earlier; FIFO within a priority
   Budget budget;

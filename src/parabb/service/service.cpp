@@ -23,23 +23,13 @@
 
 namespace parabb {
 
-std::vector<std::pair<std::string, std::uint64_t>> ServiceCounters::rows()
-    const {
-  return {
-      {"jobs admitted", admitted},
-      {"jobs completed", completed},
-      {"  optimal", optimal},
-      {"  feasible_timeout", timed_out},
-      {"  cancelled", cancelled},
-      {"  infeasible", infeasible},
-      {"  errors", errors},
-      {"jobs shed", shed},
-      {"watchdog cancels", watchdog_cancels},
-      {"cache hits", cache_hits},
-      {"cache misses", cache_misses},
-      {"queue depth peak", queue_peak},
-  };
+namespace {
+
+void bump(Counter* c) {
+  if (c) c->add(1);
 }
+
+}  // namespace
 
 SolverService::SolverService(ServiceConfig config)
     : config_(config),
@@ -121,27 +111,22 @@ JobTicket SolverService::submit(
         config_.faults && config_.faults->submit_rejected();
     if (injected_full || (config_.max_queue_depth > 0 &&
                           pending_.size() >= config_.max_queue_depth)) {
-      ++counters_.shed;
-      if (m_shed_) m_shed_->add(1);
+      bump(m_shed_);
       const double backlog =
           static_cast<double>(pending_.size()) /
           static_cast<double>(std::max<std::size_t>(1, pool_.thread_count()));
       throw OverloadedError(25.0 * (1.0 + backlog));
     }
     ticket = next_ticket_++;
-    record->seq = ticket;
+    record->ticket = ticket;
     jobs_.emplace(ticket, record);
-    pending_.push_back(
-        PendingRef{record->request.priority, record->seq, ticket});
+    pending_.push_back(PendingRef{record->request.priority, ticket});
     std::push_heap(pending_.begin(), pending_.end());
-    ++counters_.admitted;
     ++in_flight_;
-    counters_.queue_peak = std::max(counters_.queue_peak, pending_.size());
-  }
-  if (m_admitted_) {
-    m_admitted_->add(1);
-    m_queue_peak_->set_max(
-        static_cast<std::int64_t>(counters().queue_peak));
+    bump(m_admitted_);
+    if (m_queue_peak_) {
+      m_queue_peak_->set_max(static_cast<std::int64_t>(pending_.size()));
+    }
   }
   // One pump per admitted job: the pool's thread count caps concurrency,
   // the heap decides *which* pending job each pump runs.
@@ -157,9 +142,10 @@ void SolverService::pump() {
       std::pop_heap(pending_.begin(), pending_.end());
       const JobTicket ticket = pending_.back().ticket;
       pending_.pop_back();
+      // A job cancelled while pending is finalized by cancel(), and its
+      // record may already be delivered and dropped.
       const auto it = jobs_.find(ticket);
-      PARABB_ASSERT(it != jobs_.end());
-      if (it->second->state != State::kPending) continue;  // cancelled
+      if (it == jobs_.end() || it->second->state != State::kPending) continue;
       record = it->second;
       record->state = State::kRunning;
       break;
@@ -176,18 +162,19 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
   JobResult out;
   out.id = req.id;
 
-  // Jobs with an opaque F hook or with D, which the request key omits,
+  // Jobs with an opaque F hook, which the request key cannot cover,
   // bypass the cache entirely rather than risk a stale-config hit.
   // Fault-afflicted runs are injection-dependent partial results and are
-  // never cached either.
-  const bool cacheable = !req.params.characteristic &&
-                         !req.params.dominance && !config_.faults;
+  // never looked up or cached either.
+  const bool cacheable = !req.params.characteristic && !config_.faults;
   std::uint64_t fp = 0;
   std::string key;
   if (cacheable) {
     key = request_key(req);
     fp = fingerprint_bytes(key);
-    if (auto hit = cache_.lookup(fp, key)) {
+    auto hit = cache_.lookup(fp, key);
+    bump(hit ? m_cache_hits_ : m_cache_misses_);
+    if (hit) {
       hit->id = req.id;
       hit->cached = true;
       hit->seconds = 0.0;
@@ -201,8 +188,15 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
     const SchedContext ctx(req.graph, req.machine);
     ctx_span.finish();
 
+    // The service owns every run-time attachment: none of the caller's
+    // pointers reaches the engine on a worker thread. `cancel`, `faults`
+    // and `progress` are always overwritten; the others are cleared here
+    // and set below only when the service attaches its own.
     Params params = req.params;
-    params.observe = nullptr;  // service-owned field
+    params.observe = nullptr;
+    params.certify = nullptr;
+    params.ckpt = nullptr;
+    params.resume = nullptr;
     apply_budget(params, req.budget, &record->token);
     params.faults = config_.faults;
     params.progress = &record->progress;
@@ -260,12 +254,8 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
       watch_guard.dog = watchdog_.get();
       watch_guard.id =
           watchdog_->watch(&record->progress, [this, record] {
+            bump(m_watchdog_);  // counted before the job can unwind
             record->token.cancel();
-            {
-              const std::lock_guard lock(mutex_);
-              ++counters_.watchdog_cancels;
-            }
-            if (m_watchdog_) m_watchdog_->add(1);
           });
     }
 
@@ -315,61 +305,39 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
 
 void SolverService::finalize(const std::shared_ptr<JobRecord>& record,
                              JobResult result) {
-  {
-    const std::lock_guard lock(mutex_);
-    record->result = std::move(result);
-    record->state = State::kDone;
-    ++counters_.completed;
-    if (!record->result.error.empty()) {
-      ++counters_.errors;
-    } else {
-      switch (record->result.outcome) {
-        case JobOutcome::kOptimal: ++counters_.optimal; break;
-        case JobOutcome::kFeasibleTimeout: ++counters_.timed_out; break;
-        case JobOutcome::kCancelled: ++counters_.cancelled; break;
-        case JobOutcome::kInfeasible: ++counters_.infeasible; break;
-      }
-    }
-    if (record->result.cached) {
-      ++counters_.cache_hits;
-    } else if (record->result.error.empty() &&
-               record->result.outcome != JobOutcome::kCancelled &&
-               !record->request.params.characteristic &&
-               !record->request.params.dominance) {
-      ++counters_.cache_misses;
-    }
-  }
   if (m_completed_) {
-    const JobResult& r = record->result;
     m_completed_->add(1);
-    if (!r.error.empty()) {
+    if (!result.error.empty()) {
       m_errors_->add(1);
     } else {
-      switch (r.outcome) {
+      switch (result.outcome) {
         case JobOutcome::kOptimal: m_optimal_->add(1); break;
         case JobOutcome::kFeasibleTimeout: m_timed_out_->add(1); break;
         case JobOutcome::kCancelled: m_cancelled_->add(1); break;
         case JobOutcome::kInfeasible: m_infeasible_->add(1); break;
       }
     }
-    if (r.cached) {
-      m_cache_hits_->add(1);
-    } else if (r.error.empty() && r.outcome != JobOutcome::kCancelled &&
-               !record->request.params.characteristic &&
-               !record->request.params.dominance) {
-      m_cache_misses_->add(1);
+    if (result.error.empty() && !result.cached) {
+      m_job_seconds_->observe(result.seconds);
     }
-    if (r.error.empty() && !r.cached) m_job_seconds_->observe(r.seconds);
+  }
+  {
+    const std::lock_guard lock(mutex_);
+    record->result = std::move(result);
+    record->state = State::kDone;
   }
   cv_done_.notify_all();  // wait(ticket) waiters: the result is terminal
   // The callback runs before in_flight_ drops so wait_all() implies every
   // on_done has returned — parabb_serve relies on that to emit all
   // responses before its shutdown summary (and before its stream state
-  // is torn down). `result` is immutable once kDone, so the unlocked read
-  // is safe against concurrent wait().
+  // is torn down). wait() refuses a job with a callback, so the unlocked
+  // read races with nothing.
   if (record->on_done) record->on_done(record->result);
   {
     const std::lock_guard lock(mutex_);
+    // The callback delivered the result; without one, wait() delivers it
+    // and drops the record.
+    if (record->on_done) jobs_.erase(record->ticket);
     PARABB_ASSERT(in_flight_ > 0);
     --in_flight_;
   }
@@ -377,16 +345,15 @@ void SolverService::finalize(const std::shared_ptr<JobRecord>& record,
 }
 
 JobResult SolverService::wait(JobTicket ticket) {
-  std::shared_ptr<JobRecord> record;
-  {
-    const std::lock_guard lock(mutex_);
-    const auto it = jobs_.find(ticket);
-    PARABB_REQUIRE(it != jobs_.end(), "unknown job ticket");
-    record = it->second;
-  }
   std::unique_lock lock(mutex_);
+  const auto it = jobs_.find(ticket);
+  PARABB_REQUIRE(it != jobs_.end(), "unknown job ticket");
+  const std::shared_ptr<JobRecord> record = it->second;
+  PARABB_REQUIRE(!record->on_done, "the job delivers to its callback");
   cv_done_.wait(lock, [&] { return record->state == State::kDone; });
-  return record->result;
+  // Delivered once: a second waiter on this ticket finds it unknown.
+  PARABB_REQUIRE(jobs_.erase(ticket) == 1, "unknown job ticket");
+  return std::move(record->result);
 }
 
 bool SolverService::cancel(JobTicket ticket) {
@@ -426,11 +393,6 @@ void SolverService::wait_all() {
 
 int SolverService::worker_count() const noexcept {
   return static_cast<int>(pool_.thread_count());
-}
-
-ServiceCounters SolverService::counters() const {
-  const std::lock_guard lock(mutex_);
-  return counters_;
 }
 
 }  // namespace parabb

@@ -20,6 +20,7 @@
 #include "parabb/bnb/engine.hpp"
 #include "parabb/bnb/parallel_engine.hpp"
 #include "parabb/bnb/vertex.hpp"
+#include "parabb/obs/metrics.hpp"
 #include "parabb/robust/degrade.hpp"
 #include "parabb/robust/fault.hpp"
 #include "parabb/robust/watchdog.hpp"
@@ -729,9 +730,11 @@ JobRequest make_request(const std::string& id, std::uint64_t seed = 3) {
 }
 
 TEST(ServiceRobust, QueueDepthOverloadSheds) {
+  MetricsRegistry registry;
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.max_queue_depth = 1;
+  cfg.metrics = &registry;
   SolverService service(cfg);
   int overloaded = 0;
   std::vector<JobTicket> tickets;
@@ -745,7 +748,8 @@ TEST(ServiceRobust, QueueDepthOverloadSheds) {
   }
   service.wait_all();
   EXPECT_GT(overloaded, 0);
-  EXPECT_EQ(service.counters().shed, static_cast<std::uint64_t>(overloaded));
+  EXPECT_EQ(registry.counter("parabb_service_jobs_shed_total")->value(),
+            static_cast<std::uint64_t>(overloaded));
   for (const JobTicket t : tickets) {
     const JobResult r = service.wait(t);
     EXPECT_TRUE(r.error.empty()) << r.error;
@@ -754,17 +758,26 @@ TEST(ServiceRobust, QueueDepthOverloadSheds) {
 
 TEST(ServiceRobust, InjectedQueueFullSheds) {
   FaultInjector inj(one_fault(FaultKind::kQueueFull, 0, /*param=*/2));
+  MetricsRegistry registry;
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.faults = &inj;
+  cfg.metrics = &registry;
   SolverService service(cfg);
   EXPECT_THROW(service.submit(make_request("f1")), OverloadedError);
   EXPECT_THROW(service.submit(make_request("f2")), OverloadedError);
   const JobTicket t = service.submit(make_request("f3"));
   const JobResult r = service.wait(t);
   EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(service.counters().shed, 2u);
-  EXPECT_FALSE(r.cached);  // fault-afflicted services never cache
+  const auto count = [&registry](const char* name) {
+    return registry.counter(name)->value();
+  };
+  EXPECT_EQ(count("parabb_service_jobs_shed_total"), 2u);
+  // Fault-afflicted services never look the cache up, so they count
+  // neither hits nor misses.
+  EXPECT_FALSE(r.cached);
+  EXPECT_EQ(count("parabb_service_cache_hits_total"), 0u);
+  EXPECT_EQ(count("parabb_service_cache_misses_total"), 0u);
 }
 
 TEST(ServiceRobust, WatchdogCancelsStagnantJob) {
@@ -772,10 +785,12 @@ TEST(ServiceRobust, WatchdogCancelsStagnantJob) {
   // progress feed freezes mid-search, the watchdog trips its token, and
   // the job unwinds into a defined kCancelled outcome.
   FaultInjector inj(one_fault(FaultKind::kStall, 400, /*ms=*/600));
+  MetricsRegistry registry;
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.watchdog_stall_ms = 100;
   cfg.faults = &inj;
+  cfg.metrics = &registry;
   SolverService service(cfg);
   JobRequest req = make_request("stall", 7);
   req.params.ub = UpperBoundInit::kInfinite;  // keep the search long
@@ -784,7 +799,8 @@ TEST(ServiceRobust, WatchdogCancelsStagnantJob) {
   const JobResult r = service.wait(t);
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(r.outcome, JobOutcome::kCancelled);
-  EXPECT_GE(service.counters().watchdog_cancels, 1u);
+  EXPECT_GE(registry.counter("parabb_service_watchdog_cancels_total")->value(),
+            1u);
 }
 
 TEST(ServiceRobust, WatchdogFireOnCancelledJobStaysCancelled) {
@@ -792,10 +808,12 @@ TEST(ServiceRobust, WatchdogFireOnCancelledJobStaysCancelled) {
   // whoever wins, the outcome is one defined kCancelled — the later fire
   // lands on an already-tripped token and changes nothing.
   FaultInjector inj(one_fault(FaultKind::kStall, 400, /*ms=*/600));
+  MetricsRegistry registry;
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.watchdog_stall_ms = 150;
   cfg.faults = &inj;
+  cfg.metrics = &registry;
   SolverService service(cfg);
   JobRequest req = make_request("stall-cancel", 7);
   req.params.ub = UpperBoundInit::kInfinite;  // keep the search long
@@ -808,7 +826,8 @@ TEST(ServiceRobust, WatchdogFireOnCancelledJobStaysCancelled) {
   EXPECT_EQ(r.outcome, JobOutcome::kCancelled);
   // Race-tolerant: the watchdog may or may not have fired too — what must
   // hold is a single defined cancelled outcome either way.
-  EXPECT_EQ(service.counters().cancelled, 1u);
+  EXPECT_EQ(registry.counter("parabb_service_jobs_cancelled_total")->value(),
+            1u);
 }
 
 TEST(ServiceRobust, DegradeRequestFieldThreadsThrough) {

@@ -5,7 +5,8 @@
 #    registry counters, rejects a malformed metrics request with a
 #    line-numbered error, attaches a flight-recorder dump to a job that
 #    exhausts its vertex budget, and writes a Prometheus text dump at
-#    shutdown with nonzero engine counters.
+#    shutdown with nonzero engine counters and the service's job and
+#    cache counts.
 #  * parabb_solve --stats-json emits a parabb-bench-v1 record whose
 #    "solve" table carries the search stats.
 #
@@ -25,7 +26,8 @@ mkdir -p "$tmp"
 # Line 1: a quick optimal job. Line 2: a 14-task instance (deterministic
 # generator below) budgeted so it times out with an incumbent, flight
 # recording on. Line 3: a metrics probe. Line 4: a malformed metrics
-# request that must be rejected with its line number.
+# request that must be rejected with its line number. Line 5: line 1
+# again, answered from the result cache.
 python3 - "$tmp/requests.jsonl" <<'EOF'
 import json, random, sys
 random.seed(7)
@@ -42,6 +44,7 @@ reqs = [
      "budget": {"max_generated": 400}, "flight": True},
     {"id": "m1", "metrics": True},
     {"id": "m-bad", "metrics": True, "bogus": 1},
+    {"id": "job-small-again", "graph": small, "procs": 2},
 ]
 with open(sys.argv[1], "w") as f:
     for r in reqs:
@@ -79,13 +82,23 @@ assert "expand" in kinds, f"no expand events in {kinds}"
 assert by_id["job-small"]["outcome"] == "optimal"
 assert "flight" not in by_id["job-small"], "flight attached without flag"
 
-prom = open(sys.argv[2]).read()
-for line in prom.splitlines():
-    if line.startswith("parabb_search_expanded_total "):
-        assert int(line.split()[1]) > 0, "engine counters absent from prom"
-        break
-else:
-    raise AssertionError("parabb_search_expanded_total missing from prom")
+assert by_id["job-small-again"]["cached"] is True
+
+prom = {}
+for line in open(sys.argv[2]):
+    if not line.startswith("#"):
+        name, value = line.split()
+        prom[name] = value
+assert int(prom.get("parabb_search_expanded_total", 0)) > 0, \
+    "engine counters absent from prom"
+# Three jobs, each counted once; each cache lookup is a hit or a miss.
+want = {"jobs_admitted": 3, "jobs_completed": 3, "jobs_optimal": 2,
+        "jobs_feasible_timeout": 1, "jobs_cancelled": 0,
+        "jobs_infeasible": 0, "jobs_error": 0,
+        "cache_hits": 1, "cache_misses": 2}
+for short, n in want.items():
+    name = f"parabb_service_{short}_total"
+    assert int(prom.get(name, -1)) == n, f"{name} = {prom.get(name)}, want {n}"
 print("obs smoke: serve metrics, flight dump, and prom dump OK")
 EOF
 

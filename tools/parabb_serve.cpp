@@ -90,9 +90,8 @@ std::string salvage_id(const std::string& line) {
   return "";
 }
 
-/// Shutdown summary, sourced from the registry (the ServiceCounters twin
-/// is kept for API clients; this table proves the registry carries the
-/// same truth). Labels are stable for scripts that scrape stderr.
+/// Shutdown summary, sourced from the registry, the service's only counter
+/// store. Labels are stable for scripts that scrape stderr.
 void print_summary(const MetricsSnapshot& snap, const CacheCounters& cc,
                    std::uint64_t rejected) {
   const auto counter = [&snap](const char* name) {
